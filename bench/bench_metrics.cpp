@@ -110,6 +110,7 @@ struct Cell {
   double cpuUsPerReq = 0;
   uint64_t spansRecorded = 0;
   uint64_t eventsRecorded = 0;
+  double littleRatio = 0;  // completed ÷ Little's-law prediction
 };
 
 Cell runCell(bool tracing, bool recorder) {
@@ -134,10 +135,11 @@ Cell runCell(bool tracing, bool recorder) {
   core::Testbed bed(opts);
 
   const size_t kGens = bench::scaled<size_t>(4, 1);
+  const size_t kConnsPerGen = bench::scaledConnections(8);
   std::vector<std::unique_ptr<core::HttpLoadGen>> gens;
   for (size_t g = 0; g < kGens; ++g) {
     core::HttpLoadGen::Options lo;
-    lo.concurrency = bench::scaledConnections(8);
+    lo.concurrency = kConnsPerGen;
     lo.thinkTime = Duration{0};
     gens.push_back(std::make_unique<core::HttpLoadGen>(bed.httpEntry(), lo,
                                                        bed.metrics(), "load"));
@@ -178,6 +180,9 @@ Cell runCell(bool tracing, bool recorder) {
   cell.rps = static_cast<double>(cell.requests) / cell.seconds;
   cell.p50Ms = bed.metrics().histogram("load.latency_ms").quantile(0.5);
   cell.p99Ms = bed.metrics().histogram("load.latency_ms").quantile(0.99);
+  cell.littleRatio = bench::littleRatio(
+      cell.requests, kGens * kConnsPerGen, cell.seconds,
+      bed.metrics().histogram("load.latency_ms").mean());
   if (cell.requests > 0) {
     cell.cpuUsPerReq =
         (cpuEnd - cpuStart) * 1e6 / static_cast<double>(cell.requests);
@@ -209,7 +214,8 @@ void writeJson(const std::vector<MicroResult>& micro,
         << ", \"p99_ms\": " << c.p99Ms
         << ", \"cpu_us_per_req\": " << c.cpuUsPerReq
         << ", \"spans_recorded\": " << c.spansRecorded
-        << ", \"events_recorded\": " << c.eventsRecorded << "}"
+        << ", \"events_recorded\": " << c.eventsRecorded
+        << ", \"little_ratio\": " << c.littleRatio << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -268,11 +274,11 @@ int main(int argc, char** argv) {
     std::printf(
         "tracing=%-3s recorder=%-3s  %8.0f rps  p50 %6.2f ms  "
         "p99 %6.2f ms  %7.1f cpu-us/req  %8llu spans  %8llu events  "
-        "(%llu reqs, %llu err)\n",
+        "little %.2f  (%llu reqs, %llu err)\n",
         c.tracing ? "on" : "off", c.recorder ? "on" : "off", c.rps, c.p50Ms,
         c.p99Ms, c.cpuUsPerReq,
         static_cast<unsigned long long>(c.spansRecorded),
-        static_cast<unsigned long long>(c.eventsRecorded),
+        static_cast<unsigned long long>(c.eventsRecorded), c.littleRatio,
         static_cast<unsigned long long>(c.requests),
         static_cast<unsigned long long>(c.errors));
   }
@@ -336,6 +342,18 @@ int main(int argc, char** argv) {
   if (total == 0) {
     std::fprintf(stderr, "error: no requests completed in any cell\n");
     return 1;
+  }
+  // Structural: completions must match connections × window ÷ mean
+  // latency, or the generator stalled outside the measured interval.
+  for (const auto& c : cells) {
+    if (!bench::littleRatioOk(c.littleRatio)) {
+      std::fprintf(stderr,
+                   "error: tracing=%s recorder=%s completed %.2fx the "
+                   "Little's-law prediction (allowed 1 ± %.2f)\n",
+                   c.tracing ? "on" : "off", c.recorder ? "on" : "off",
+                   c.littleRatio, bench::kLittleTolerance);
+      return 1;
+    }
   }
   return 0;
 }

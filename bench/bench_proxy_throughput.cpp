@@ -39,6 +39,7 @@ struct Cell {
   double writeSyscallsPerReq = 0;  // whole process, before/after ratio
   double shedRate = 0;   // edge.err.shed / edge requests (0 when healthy)
   double retryRate = 0;  // shard.retries / edge requests (0 when healthy)
+  double littleRatio = 0;  // completed ÷ Little's-law prediction
 };
 
 Cell runCell(size_t httpWorkers, bool vectored) {
@@ -61,10 +62,11 @@ Cell runCell(size_t httpWorkers, bool vectored) {
   // proxy from several. They share the "load" metric prefix (counters
   // and the latency histogram are thread-safe), completions are summed.
   const size_t kGens = bench::scaled<size_t>(4, 1);
+  const size_t kConnsPerGen = bench::scaledConnections(8);
   std::vector<std::unique_ptr<core::HttpLoadGen>> gens;
   for (size_t g = 0; g < kGens; ++g) {
     core::HttpLoadGen::Options lo;
-    lo.concurrency = bench::scaledConnections(8);
+    lo.concurrency = kConnsPerGen;
     lo.thinkTime = Duration{0};
     gens.push_back(std::make_unique<core::HttpLoadGen>(bed.httpEntry(), lo,
                                                        bed.metrics(), "load"));
@@ -109,6 +111,9 @@ Cell runCell(size_t httpWorkers, bool vectored) {
   cell.rps = static_cast<double>(cell.requests) / cell.seconds;
   cell.p50Ms = bed.metrics().histogram("load.latency_ms").quantile(0.5);
   cell.p99Ms = bed.metrics().histogram("load.latency_ms").quantile(0.99);
+  cell.littleRatio = bench::littleRatio(
+      cell.requests, kGens * kConnsPerGen, cell.seconds,
+      bed.metrics().histogram("load.latency_ms").mean());
   if (cell.requests > 0) {
     cell.cpuUsPerReq =
         (cpuEnd - cpuStart) * 1e6 / static_cast<double>(cell.requests);
@@ -144,7 +149,8 @@ void writeJson(const std::vector<Cell>& cells, const char* path) {
         << ", \"cpu_us_per_req\": " << c.cpuUsPerReq
         << ", \"write_syscalls_per_req\": " << c.writeSyscallsPerReq
         << ", \"shed_rate\": " << c.shedRate
-        << ", \"retry_rate\": " << c.retryRate << "}"
+        << ", \"retry_rate\": " << c.retryRate
+        << ", \"little_ratio\": " << c.littleRatio << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -173,9 +179,10 @@ int main(int argc, char** argv) {
       const Cell& c = cells.back();
       std::printf(
           "workers=%zu vectored=%-3s  %8.0f rps  p50 %6.2f ms  p99 %6.2f ms"
-          "  %7.1f cpu-us/req  %5.2f wr-syscalls/req  (%llu reqs, %llu err)\n",
+          "  %7.1f cpu-us/req  %5.2f wr-syscalls/req  little %.2f"
+          "  (%llu reqs, %llu err)\n",
           c.httpWorkers, c.vectored ? "on" : "off", c.rps, c.p50Ms, c.p99Ms,
-          c.cpuUsPerReq, c.writeSyscallsPerReq,
+          c.cpuUsPerReq, c.writeSyscallsPerReq, c.littleRatio,
           static_cast<unsigned long long>(c.requests),
           static_cast<unsigned long long>(c.errors));
     }
@@ -215,6 +222,18 @@ int main(int argc, char** argv) {
   if (total == 0) {
     std::fprintf(stderr, "error: no requests completed in any cell\n");
     return 1;
+  }
+  // Structural: completions must match connections × window ÷ mean
+  // latency, or the generator stalled outside the measured interval.
+  for (const auto& c : cells) {
+    if (!bench::littleRatioOk(c.littleRatio)) {
+      std::fprintf(stderr,
+                   "error: workers=%zu vectored=%s completed %.2fx the "
+                   "Little's-law prediction (allowed 1 ± %.2f)\n",
+                   c.httpWorkers, c.vectored ? "on" : "off", c.littleRatio,
+                   bench::kLittleTolerance);
+      return 1;
+    }
   }
   return 0;
 }

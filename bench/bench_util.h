@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -70,6 +71,34 @@ inline bool waitUntil(const std::function<bool()>& pred, long timeoutMs,
     sleepMs(stepMs);
   }
   return pred();
+}
+
+// Little's law for a closed loop: `connections` clients with one
+// request in flight each complete about connections × seconds ÷ mean
+// latency requests in a window. Whatever a client does between a
+// response and its next request (the generator's re-launch) sits
+// outside the measured latency; when it dominates, far fewer requests
+// complete than the latencies predict while the reported latency still
+// looks healthy. Returns completed ÷ predicted: 1.0 when every cycle
+// is measured latency.
+inline double littleRatio(uint64_t completed, size_t connections,
+                          double seconds, double meanLatencyMs) {
+  if (connections == 0 || seconds <= 0 || meanLatencyMs <= 0) {
+    return 0;
+  }
+  const double predicted = static_cast<double>(connections) * seconds *
+                           1000.0 / meanLatencyMs;
+  return static_cast<double>(completed) / predicted;
+}
+
+// The closed-loop benches fail when littleRatio leaves 1 ± this: up to
+// 30% of each cycle may go to the generator's own callback and
+// re-launch, and a stall that eats more than that is a harness
+// artifact, not a measurement.
+inline constexpr double kLittleTolerance = 0.30;
+
+inline bool littleRatioOk(double ratio) {
+  return ratio >= 1.0 - kLittleTolerance && ratio <= 1.0 + kLittleTolerance;
 }
 
 // Samples `fn` every intervalMs for durationMs; returns (tSec, value).

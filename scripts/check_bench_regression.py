@@ -65,19 +65,16 @@ METRICS = {
     "copy_bytes_per_req": (-1, 256.0),
     "syscalls_per_req": (-1, 0.5),
     # Event-engine plane (bench_event_engine), keyed by backend /
-    # connections / timers / impl. syscalls_per_request and
-    # sqes_per_request are structural (counted by the backend itself,
-    # not timed); the 0.5 floor absorbs wakeup-coalescing jitter on a
-    # loaded runner. idle_conn_kb polices the engine's per-connection
-    # bookkeeping (kernel socket buffers never show in RSS); the
-    # wakeup / arm / cancel latencies are wall-clock-noisy, so their
-    # floors are wide and they act as blowup detectors only.
-    "syscalls_per_request": (-1, 0.5),
-    "sqes_per_request": (-1, 0.5),
+    # connections / timers. idle_conn_kb polices the engine's
+    # per-connection bookkeeping (kernel socket buffers never show in
+    # RSS); the wakeup / arm / cancel / fire latencies are
+    # wall-clock-noisy, so their floors are wide and they act as blowup
+    # detectors only.
     "idle_conn_kb": (-1, 0.5),
     "wakeup_p99_ns": (-1, 25000.0),
     "arm_ns": (-1, 250.0),
     "cancel_ns": (-1, 250.0),
+    "fire_ns": (-1, 250.0),
 }
 
 
@@ -98,13 +95,12 @@ def cell_key(cell):
         cell.get("splice"),
         cell.get("zerocopy"),
         cell.get("recorder", True),
-        # bench_event_engine dimensions: echo/idle cells carry backend
-        # (+ connections), timer cells carry impl (+ timers).
+        # bench_event_engine dimensions: idle cells carry backend
+        # (+ connections), timer cells carry the standing population.
         cell.get("family"),
         cell.get("backend"),
         cell.get("connections"),
         cell.get("timers"),
-        cell.get("impl"),
     )
 
 
@@ -141,8 +137,6 @@ def cell_label(cell):
         parts.append(f"connections={key[13]}")
     if key[14] is not None:
         parts.append(f"timers={key[14]}")
-    if key[15] is not None:
-        parts.append(f"impl={key[15]}")
     return " ".join(parts) or "cell"
 
 

@@ -80,17 +80,13 @@ ALLOW_UNRESOLVED = {
 # loop-stat suffix silently reads zero forever, so the whole family is
 # enumerated here and any literal inside it must match the schema.
 LOOP_STATS = {"iter_us", "poll_us", "dispatch_us", "stalls"}
-# Engine families (event-loop backend refactor): loop.backend.* carries
-# the IoBackend syscall/SQE economics plus the which-backend gauge;
-# timer.wheel.* carries TimerQueue churn (the heap fallback reports
-# through the same names — compactions is its counter, cascades the
-# wheel's).
+# Engine families: loop.backend.* carries the IoBackend syscall/SQE
+# economics plus the which-backend gauge; timer.* carries the timer
+# heap's churn.
 LOOP_BACKEND_STATS = {
-    "io_uring", "wait_syscalls", "op_syscalls", "sqes", "cqes",
-    "poll_rearms",
+    "io_uring", "wait_syscalls", "sqes", "cqes", "poll_rearms",
 }
-TIMER_WHEEL_STATS = {"armed", "cancelled", "fired", "cascades",
-                     "compactions"}
+TIMER_STATS = {"armed", "cancelled", "fired", "compactions"}
 DISRUPTION_CAUSES = {
     "unattributed", "reset_on_restart", "trunk_abort", "drain_deadline",
     "shed", "breaker", "timeout", "fault_injected",
@@ -132,14 +128,11 @@ def family_violation(lit: str):
         if seg == "timer":
             if not rest:
                 return None if lit.endswith(".") else \
-                    "bare 'timer' (want timer.wheel.<stat>)"
-            if rest[0] != "wheel":
-                return (f"unknown timer family {rest[0]!r} "
-                        "(want timer.wheel.<stat>)")
-            if len(rest) == 2 and rest[1] in TIMER_WHEEL_STATS:
+                    "bare 'timer' (want timer.<stat>)"
+            if len(rest) == 1 and rest[0] in TIMER_STATS:
                 return None
-            return (f"unknown timer wheel stat {'.'.join(rest[1:])!r} "
-                    f"(want one of {sorted(TIMER_WHEEL_STATS)})")
+            return (f"unknown timer stat {'.'.join(rest)!r} "
+                    f"(want one of {sorted(TIMER_STATS)})")
         if seg == "recorder":
             if not rest:
                 return None if lit.endswith(".") else \

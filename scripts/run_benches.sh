@@ -28,10 +28,9 @@ if [ "$SMOKE" = 1 ]; then
   # structural the same way (spliced bytes never cross userspace);
   # bench_release_controller gates on rollout outcomes (clean completes
   # with zero client errors, regressed rolls back), not timings;
-  # bench_event_engine gates on syscalls-per-request (counted by the
-  # IoBackend itself, so the io_uring-vs-epoll ratio is structural) and
-  # on O(1) timer-wheel arm/cancel scaling, and skips its io_uring cells
-  # with a notice when the kernel lacks the ring syscalls.
+  # bench_event_engine writes the idle-fleet and timer-heap cells its CI
+  # regression gate reads, and skips its io_uring cells with a notice
+  # when the kernel lacks the ring syscalls.
   PATTERN="$BUILD/bench/bench_fig* $BUILD/bench/bench_l4_scale $BUILD/bench/bench_relay $BUILD/bench/bench_release_controller $BUILD/bench/bench_event_engine"
 else
   PATTERN="$BUILD/bench/*"

@@ -78,14 +78,13 @@ def relay_cell(**over):
     return cell
 
 
-def echo_cell(**over):
+def idle_cell(**over):
     cell = {
-        "family": "echo",
+        "family": "idle",
         "backend": "io_uring",
-        "workers": 4,
-        "connections": 256,
-        "syscalls_per_request": 0.9,
-        "sqes_per_request": 2.0,
+        "connections": 2000,
+        "idle_conn_kb": 0.3,
+        "wakeup_p99_ns": 15000.0,
     }
     cell.update(over)
     return cell
@@ -94,10 +93,10 @@ def echo_cell(**over):
 def timer_cell(**over):
     cell = {
         "family": "timers",
-        "impl": "wheel",
         "timers": 32768,
         "arm_ns": 300.0,
         "cancel_ns": 50.0,
+        "fire_ns": 100.0,
     }
     cell.update(over)
     return cell
@@ -283,52 +282,52 @@ def test_metrics_cells_key_on_recorder():
 def test_engine_cells_key_on_backend():
     # Same metrics, epoll vs io_uring — the backend dimension must
     # split the cells or an epoll run could be graded against the
-    # ring's (much lower) syscall baseline.
-    cur = bench(echo_cell(backend="epoll"))
-    base = bench(echo_cell())
+    # ring's baseline.
+    cur = bench(idle_cell(backend="epoll"))
+    base = bench(idle_cell())
     n, findings = run_check(cur, base)
     assert n == 1
     assert "missing from baseline" in findings[0]
     assert "backend=epoll" in findings[0]
-    assert "family=echo" in findings[0] and "connections=256" in findings[0]
+    assert "family=idle" in findings[0] and "connections=2000" in findings[0]
 
 
-def test_engine_timer_cells_key_on_impl_and_population():
-    cur = bench(timer_cell(impl="heap", timers=1000))
+def test_engine_timer_cells_key_on_population():
+    cur = bench(timer_cell(timers=1000))
     base = bench(timer_cell())
     n, findings = run_check(cur, base)
     assert n == 1
     assert "missing from baseline" in findings[0]
-    assert "impl=heap" in findings[0] and "timers=1000" in findings[0]
+    assert "family=timers" in findings[0] and "timers=1000" in findings[0]
 
 
-def test_engine_syscalls_per_request_regression_detected():
-    # 0.9 -> 2.5 syscalls/req: the ring stopped batching (e.g. one
-    # enter per SQE) — past the 0.5 floor and the tolerance.
-    cur = bench(echo_cell(syscalls_per_request=2.5))
-    base = bench(echo_cell())
+def test_engine_idle_conn_kb_regression_detected():
+    # 0.3 -> 1.5 KiB/conn: per-connection engine bookkeeping grew past
+    # the 0.5 floor and the tolerance.
+    cur = bench(idle_cell(idle_conn_kb=1.5))
+    base = bench(idle_cell())
     n, findings = run_check(cur, base)
     assert n == 1
-    assert "syscalls_per_request" in findings[0]
-
-
-def test_engine_syscalls_per_request_noise_floor():
-    # +0.3 absolute (+33%) is wakeup-coalescing jitter, under the 0.5
-    # floor.
-    cur = bench(echo_cell(syscalls_per_request=1.2))
-    base = bench(echo_cell())
-    n, findings = run_check(cur, base)
-    assert n == 0, findings
+    assert "idle_conn_kb" in findings[0]
 
 
 def test_engine_arm_ns_regression_detected():
-    # 300 -> 3000 ns at a standing 32k population: the O(1) arm path
+    # 300 -> 3000 ns at a standing 32k population: the arm path
     # degraded to something population-sized.
     cur = bench(timer_cell(arm_ns=3000.0))
     base = bench(timer_cell())
     n, findings = run_check(cur, base)
     assert n == 1
     assert "arm_ns" in findings[0]
+
+
+def test_engine_fire_ns_regression_detected():
+    # 100 -> 1000 ns per due timer: the fire path blew up.
+    cur = bench(timer_cell(fire_ns=1000.0))
+    base = bench(timer_cell())
+    n, findings = run_check(cur, base)
+    assert n == 1
+    assert "fire_ns" in findings[0]
 
 
 def test_budget_within_ceiling_is_clean():

@@ -16,29 +16,25 @@ LoopRecorder::LoopRecorder(MetricsRegistry& reg,
       backendIoUring_(&reg.gauge(prefix_ + "loop.backend.io_uring")),
       backendWaitSyscalls_(
           &reg.counter(prefix_ + "loop.backend.wait_syscalls")),
-      backendOpSyscalls_(&reg.counter(prefix_ + "loop.backend.op_syscalls")),
       backendSqes_(&reg.counter(prefix_ + "loop.backend.sqes")),
       backendCqes_(&reg.counter(prefix_ + "loop.backend.cqes")),
       backendPollRearms_(&reg.counter(prefix_ + "loop.backend.poll_rearms")),
-      wheelArmed_(&reg.counter(prefix_ + "timer.wheel.armed")),
-      wheelCancelled_(&reg.counter(prefix_ + "timer.wheel.cancelled")),
-      wheelFired_(&reg.counter(prefix_ + "timer.wheel.fired")),
-      wheelCascades_(&reg.counter(prefix_ + "timer.wheel.cascades")),
-      wheelCompactions_(&reg.counter(prefix_ + "timer.wheel.compactions")) {}
+      timerArmed_(&reg.counter(prefix_ + "timer.armed")),
+      timerCancelled_(&reg.counter(prefix_ + "timer.cancelled")),
+      timerFired_(&reg.counter(prefix_ + "timer.fired")),
+      timerCompactions_(&reg.counter(prefix_ + "timer.compactions")) {}
 
 void LoopRecorder::onEngineSample(const EngineSample& sample) noexcept {
   backendIoUring_->set(sample.backend[0] == 'i' ? 1.0 : 0.0);
   backendWaitSyscalls_->add(sample.io.waitSyscalls - lastIo_.waitSyscalls);
-  backendOpSyscalls_->add(sample.io.opSyscalls - lastIo_.opSyscalls);
   backendSqes_->add(sample.io.sqesSubmitted - lastIo_.sqesSubmitted);
   backendCqes_->add(sample.io.cqesReaped - lastIo_.cqesReaped);
   backendPollRearms_->add(sample.io.pollRearms - lastIo_.pollRearms);
   lastIo_ = sample.io;
-  wheelArmed_->add(sample.timers.armed - lastTimers_.armed);
-  wheelCancelled_->add(sample.timers.cancelled - lastTimers_.cancelled);
-  wheelFired_->add(sample.timers.fired - lastTimers_.fired);
-  wheelCascades_->add(sample.timers.cascades - lastTimers_.cascades);
-  wheelCompactions_->add(sample.timers.compactions -
+  timerArmed_->add(sample.timers.armed - lastTimers_.armed);
+  timerCancelled_->add(sample.timers.cancelled - lastTimers_.cancelled);
+  timerFired_->add(sample.timers.fired - lastTimers_.fired);
+  timerCompactions_->add(sample.timers.compactions -
                          lastTimers_.compactions);
   lastTimers_ = sample.timers;
 }

@@ -12,9 +12,9 @@
 //    the stall budget (blaming the callback's tag), kLoopIteration /
 //    kTimerFire for notably slow iterations and timer fires;
 //  * engine counters — <worker>.loop.backend.* (which IoBackend runs
-//    this loop and its syscall/SQE economics) and
-//    <worker>.timer.wheel.* (timer-queue churn), published as deltas
-//    from the per-iteration EngineSample.
+//    this loop and its syscall/SQE economics) and <worker>.timer.*
+//    (timer-heap churn), published as deltas from the per-iteration
+//    EngineSample.
 //
 // All callbacks run on the owning loop's thread, so the tag caches are
 // plain maps; the ring write is the only cross-thread-visible effect.
@@ -67,17 +67,15 @@ class LoopRecorder final : public LoopObserver {
   // deltas (loop-thread-only state, like the tag caches).
   Gauge* backendIoUring_;
   Counter* backendWaitSyscalls_;
-  Counter* backendOpSyscalls_;
   Counter* backendSqes_;
   Counter* backendCqes_;
   Counter* backendPollRearms_;
-  Counter* wheelArmed_;
-  Counter* wheelCancelled_;
-  Counter* wheelFired_;
-  Counter* wheelCascades_;
-  Counter* wheelCompactions_;
+  Counter* timerArmed_;
+  Counter* timerCancelled_;
+  Counter* timerFired_;
+  Counter* timerCompactions_;
   IoBackendStats lastIo_;
-  TimerQueueStats lastTimers_;
+  TimerStats lastTimers_;
   // Loop-thread-only caches; tags are string literals, keyed by
   // address (two spellings of the same text just intern twice).
   std::unordered_map<const char*, uint32_t> tagIds_;

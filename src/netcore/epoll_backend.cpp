@@ -2,7 +2,6 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
@@ -45,7 +44,6 @@ void EpollBackend::addFd(int fd, uint32_t events) {
   if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
     throwErrno("epoll_ctl(ADD)");
   }
-  interest_[fd] = events;
 }
 
 void EpollBackend::modifyFd(int fd, uint32_t events) {
@@ -55,104 +53,14 @@ void EpollBackend::modifyFd(int fd, uint32_t events) {
   if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
     throwErrno("epoll_ctl(MOD)");
   }
-  interest_[fd] = events;
 }
 
 void EpollBackend::removeFd(int fd) {
-  if (interest_.erase(fd) > 0) {
-    ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-  }
+  // ENOENT/EBADF (never added, or already closed) are harmless here.
+  ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
-void EpollBackend::submitOp(const IoOp& op) {
-  OpQueue& q = opFds_[op.fd];
-  q.ops.push_back(op);
-  syncOpInterest(op.fd, q);
-}
-
-void EpollBackend::cancelOp(uint64_t token) {
-  for (auto it = opFds_.begin(); it != opFds_.end();) {
-    auto& ops = it->second.ops;
-    for (auto op = ops.begin(); op != ops.end();) {
-      op = op->token == token ? ops.erase(op) : op + 1;
-    }
-    if (ops.empty()) {
-      ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, it->first, nullptr);
-      it = opFds_.erase(it);
-    } else {
-      syncOpInterest(it->first, it->second);
-      ++it;
-    }
-  }
-}
-
-// Keeps the fd's epoll registration in step with what its queued ops
-// need. Op fds are owned by the emulation: readiness consumers must
-// not register them concurrently (see IoBackend::submitOp contract).
-void EpollBackend::syncOpInterest(int fd, OpQueue& q) {
-  uint32_t mask = 0;
-  for (const IoOp& op : q.ops) {
-    mask |= op.kind == IoOpKind::kSend ? kEvWrite : kEvRead;
-  }
-  epoll_event ev{};
-  ev.events = mask;
-  ev.data.fd = fd;
-  if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0 &&
-      errno == ENOENT) {
-    if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
-      throwErrno("epoll_ctl(op ADD)");
-    }
-  }
-}
-
-bool EpollBackend::runOps(int fd, OpQueue& q, uint32_t ready,
-                          std::vector<IoCompletion>& completions) {
-  for (auto it = q.ops.begin(); it != q.ops.end();) {
-    IoOp& op = *it;
-    bool needsWrite = op.kind == IoOpKind::kSend;
-    if ((ready & (needsWrite ? kEvWrite : kEvRead)) == 0 &&
-        (ready & (kEvError | kEvHup)) == 0) {
-      ++it;
-      continue;
-    }
-    int32_t res = 0;
-    ++stats_.opSyscalls;
-    switch (op.kind) {
-      case IoOpKind::kRecv:
-        res = static_cast<int32_t>(::recv(fd, op.buf, op.len, 0));
-        break;
-      case IoOpKind::kSend:
-        res = static_cast<int32_t>(
-            ::send(fd, op.buf, op.len, MSG_NOSIGNAL));
-        break;
-      case IoOpKind::kAccept:
-        res = ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-        break;
-    }
-    if (res < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Spurious wakeup (another op on this fd consumed the
-        // readiness); keep waiting.
-        ++it;
-        continue;
-      }
-      res = -errno;
-    }
-    completions.push_back(IoCompletion{op.token, res, false});
-    // Accept ops behave multishot on both backends: they stay armed
-    // and keep yielding fds until cancelled (or they fail hard).
-    if (op.kind == IoOpKind::kAccept && res >= 0) {
-      completions.back().more = true;
-      ++it;
-    } else {
-      it = q.ops.erase(it);
-    }
-  }
-  return q.ops.empty();
-}
-
-int EpollBackend::wait(int timeoutMs, std::vector<IoEvent>& events,
-                       std::vector<IoCompletion>& completions) {
+int EpollBackend::wait(int timeoutMs, std::vector<IoEvent>& events) {
   std::array<epoll_event, 128> evs;
   ++stats_.waitSyscalls;
   int n = ::epoll_wait(epollFd_.get(), evs.data(),
@@ -171,18 +79,6 @@ int EpollBackend::wait(int timeoutMs, std::vector<IoEvent>& events,
       uint64_t drained = 0;
       [[maybe_unused]] ssize_t r =
           ::read(wakeFd_.get(), &drained, sizeof(drained));
-      continue;
-    }
-    auto op = opFds_.find(fd);
-    if (op != opFds_.end()) {
-      size_t before = completions.size();
-      if (runOps(fd, op->second, mask, completions)) {
-        ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-        opFds_.erase(op);
-      } else {
-        syncOpInterest(fd, op->second);
-      }
-      appended += static_cast<int>(completions.size() - before);
       continue;
     }
     events.push_back(IoEvent{fd, mask});

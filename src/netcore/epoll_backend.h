@@ -1,17 +1,8 @@
 // EpollBackend: level-triggered epoll readiness — the default IoBackend
 // and the fallback when io_uring is unavailable or switched off.
-//
-// Readiness is a straight extraction of the original EventLoop epoll
-// core. Completion ops are emulated: each op's fd joins the epoll set
-// with the interest the op needs, and the op runs as one plain
-// recv/send/accept4 syscall when the fd turns ready — identical
-// semantics to the ring path, minus the batching (which is exactly the
-// delta bench_event_engine measures).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "netcore/fd_guard.h"
@@ -27,19 +18,12 @@ class EpollBackend final : public IoBackend {
   [[nodiscard]] const char* name() const noexcept override {
     return "epoll";
   }
-  [[nodiscard]] uint32_t capabilities() const noexcept override {
-    return 0;
-  }
 
   void addFd(int fd, uint32_t events) override;
   void modifyFd(int fd, uint32_t events) override;
   void removeFd(int fd) override;
 
-  void submitOp(const IoOp& op) override;
-  void cancelOp(uint64_t token) override;
-
-  int wait(int timeoutMs, std::vector<IoEvent>& events,
-           std::vector<IoCompletion>& completions) override;
+  int wait(int timeoutMs, std::vector<IoEvent>& events) override;
   void wakeup() noexcept override;
 
   [[nodiscard]] IoBackendStats stats() const noexcept override {
@@ -47,22 +31,8 @@ class EpollBackend final : public IoBackend {
   }
 
  private:
-  struct OpQueue {
-    std::deque<IoOp> ops;  // FIFO per fd; mixed kinds allowed
-  };
-
-  void syncOpInterest(int fd, OpQueue& q);
-  // Runs every runnable op on `fd` given `ready` mask; appends
-  // completions. Returns true when the fd's op queue drained.
-  bool runOps(int fd, OpQueue& q, uint32_t ready,
-              std::vector<IoCompletion>& completions);
-
   FdGuard epollFd_;
   FdGuard wakeFd_;  // eventfd; readiness consumed internally
-  // fds registered for readiness interest (so removeFd can tell a
-  // registered fd from an op-only fd).
-  std::map<int, uint32_t> interest_;
-  std::map<int, OpQueue> opFds_;
   IoBackendStats stats_;
 };
 

@@ -45,13 +45,8 @@ std::unique_ptr<IoBackend> makeIoBackend() {
 
 }  // namespace
 
-EventLoop::EventLoop()
-    : backend_(makeIoBackend()), timers_(makeTimerQueue()) {
-  timerFire_ = [this](const char* tag, const Callback& cb) {
-    dispatch(LoopObserver::DispatchKind::kTimer, tag, cb);
-  };
-  // loopThreadId_ stays unset until run()/poll(): see the header note.
-}
+// loopThreadId_ stays unset until run()/poll(): see the header note.
+EventLoop::EventLoop() : backend_(makeIoBackend()) {}
 
 EventLoop::~EventLoop() = default;
 
@@ -59,21 +54,11 @@ const char* EventLoop::backendName() const noexcept {
   return backend_->name();
 }
 
-uint32_t EventLoop::backendCapabilities() const noexcept {
-  return backend_->capabilities();
-}
-
-const char* EventLoop::timerImplName() const noexcept {
-  return timers_->name();
-}
-
 EngineSample EventLoop::engineSample() const noexcept {
   EngineSample s;
   s.backend = backend_->name();
-  s.timerImpl = timers_->name();
-  s.capabilities = backend_->capabilities();
   s.io = backend_->stats();
-  s.timers = timers_->stats();
+  s.timers = timers_.stats();
   return s;
 }
 
@@ -93,47 +78,17 @@ void EventLoop::removeFd(int fd) {
   }
 }
 
-uint64_t EventLoop::submitOp(IoOpKind kind, int fd, void* buf, uint32_t len,
-                             OpCallback cb, const char* tag) {
-  uint64_t token = nextOpToken_++;
-  ops_[token] = OpHandler{std::make_shared<OpCallback>(std::move(cb)), tag};
-  backend_->submitOp(IoOp{kind, fd, buf, len, token});
-  return token;
-}
-
-uint64_t EventLoop::submitRecv(int fd, void* buf, uint32_t len,
-                               OpCallback cb, const char* tag) {
-  return submitOp(IoOpKind::kRecv, fd, buf, len, std::move(cb), tag);
-}
-
-uint64_t EventLoop::submitSend(int fd, const void* buf, uint32_t len,
-                               OpCallback cb, const char* tag) {
-  return submitOp(IoOpKind::kSend, fd, const_cast<void*>(buf), len,
-                  std::move(cb), tag);
-}
-
-uint64_t EventLoop::submitAccept(int fd, OpCallback cb, const char* tag) {
-  return submitOp(IoOpKind::kAccept, fd, nullptr, 0, std::move(cb), tag);
-}
-
-void EventLoop::cancelOp(uint64_t token) {
-  if (ops_.erase(token) > 0) {
-    backend_->cancelOp(token);
-  }
-}
-
 EventLoop::TimerId EventLoop::runAfter(Duration delay, Callback cb,
                                        const char* tag) {
-  return timers_->arm(Clock::now() + delay, Duration{0}, std::move(cb),
-                      tag);
+  return timers_.arm(Clock::now() + delay, Duration{0}, std::move(cb), tag);
 }
 
 EventLoop::TimerId EventLoop::runEvery(Duration period, Callback cb,
                                        const char* tag) {
-  return timers_->arm(Clock::now() + period, period, std::move(cb), tag);
+  return timers_.arm(Clock::now() + period, period, std::move(cb), tag);
 }
 
-void EventLoop::cancelTimer(TimerId id) { timers_->cancel(id); }
+void EventLoop::cancelTimer(TimerId id) { timers_.cancel(id); }
 
 void EventLoop::runAtEnd(Callback cb, const char* tag) {
   assert(isInLoopThread() || loopThreadId_.load() == std::thread::id{});
@@ -163,7 +118,7 @@ void EventLoop::stop() {
 }
 
 int EventLoop::msUntilNextTimer() const {
-  return timers_->msUntilNext(Clock::now());
+  return timers_.msUntilNext(Clock::now());
 }
 
 void EventLoop::run() {
@@ -190,8 +145,7 @@ void EventLoop::iterate(int timeoutMs) {
     t0 = Clock::now();
   }
   ioEvents_.clear();
-  ioCompletions_.clear();
-  backend_->wait(timeoutMs, ioEvents_, ioCompletions_);
+  backend_->wait(timeoutMs, ioEvents_);
   TimePoint t1;
   if (obs != nullptr) {
     t1 = Clock::now();
@@ -205,19 +159,6 @@ void EventLoop::iterate(int timeoutMs) {
     uint32_t mask = ev.events;
     dispatch(LoopObserver::DispatchKind::kIo, it->second.tag,
              [&] { (*cb)(mask); });
-  }
-  for (const IoCompletion& c : ioCompletions_) {
-    auto it = ops_.find(c.token);
-    if (it == ops_.end()) {
-      continue;  // cancelled after the completion was already in flight
-    }
-    auto cb = it->second.cb;  // keep alive across possible cancelOp()
-    const char* tag = it->second.tag;
-    if (!c.more) {
-      ops_.erase(it);  // done before dispatch, like one-shot timers
-    }
-    dispatch(LoopObserver::DispatchKind::kIo, tag,
-             [&] { (*cb)(c.result, c.more); });
   }
   drainPosted();
   fireTimers();
@@ -262,7 +203,11 @@ void EventLoop::drainPosted() {
   }
 }
 
-void EventLoop::fireTimers() { timers_->advance(Clock::now(), timerFire_); }
+void EventLoop::fireTimers() {
+  timers_.advance(Clock::now(), [this](const char* tag, const Callback& cb) {
+    dispatch(LoopObserver::DispatchKind::kTimer, tag, cb);
+  });
+}
 
 // ------------------------------------------------------------ loop thread
 

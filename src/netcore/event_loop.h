@@ -5,12 +5,11 @@
 // state are confined to that thread (Core Guidelines CP: avoid data
 // races by confinement).
 //
-// The kernel interface is pluggable (io_backend.h): level-triggered
+// The readiness interface is pluggable (io_backend.h): level-triggered
 // epoll by default, io_uring under ZDR_IO_BACKEND=io_uring (with
-// auto-probe fallback to epoll). Timers run on a hierarchical timing
-// wheel by default, the legacy binary heap under ZDR_NO_TIMER_WHEEL=1
-// (timer_queue.h). Dispatch order, observer instrumentation and all
-// callback semantics are backend-independent.
+// auto-probe fallback to epoll). Timers run on one binary heap
+// (timer_queue.h) that the loop owns by value. Dispatch order, observer
+// instrumentation and all callback semantics are backend-independent.
 #pragma once
 
 #include <atomic>
@@ -30,13 +29,11 @@ namespace zdr {
 
 // One per-iteration snapshot of the engine's internals, published to
 // the observer so the metrics side can export the loop.backend.* and
-// timer.wheel.* families without netcore depending on metrics.
+// timer.* families without netcore depending on metrics.
 struct EngineSample {
-  const char* backend = "epoll";   // IoBackend::name()
-  const char* timerImpl = "heap";  // TimerQueue::name()
-  uint32_t capabilities = 0;       // IoBackend kCap* bits
+  const char* backend = "epoll";  // IoBackend::name()
   IoBackendStats io;
-  TimerQueueStats timers;
+  TimerStats timers;
 };
 
 // Loop self-profiling hook. netcore stays metrics-free: the metrics
@@ -54,7 +51,7 @@ struct EngineSample {
 class LoopObserver {
  public:
   enum class DispatchKind : uint8_t {
-    kIo = 0,      // fd readiness callback or op completion
+    kIo = 0,      // fd readiness callback
     kPosted = 1,  // cross-thread runInLoop callback
     kTimer = 2,   // runAfter/runEvery callback
     kAtEnd = 3,   // end-of-iteration batch callback
@@ -73,8 +70,8 @@ class LoopObserver {
   // waited `durNs` behind `tag`.
   virtual void onStall(DispatchKind kind, const char* tag,
                        uint64_t durNs) noexcept = 0;
-  // Engine internals snapshot, once per iteration. Default no-op so
-  // observers predating the pluggable backend keep compiling.
+  // Engine internals snapshot, once per iteration. Default no-op:
+  // only the metrics-side recorder exports it.
   virtual void onEngineSample(const EngineSample& /*sample*/) noexcept {}
 };
 
@@ -84,10 +81,7 @@ class EventLoop {
   // `events` is the backend-neutral readiness mask (kEvRead/kEvWrite/
   // kEvError/kEvHup — numerically identical to EPOLLIN/EPOLLOUT/…).
   using IoCallback = std::function<void(uint32_t events)>;
-  // Completion-op result: syscall convention (bytes / accepted fd /
-  // -errno). `more` is set while a multishot op stays armed.
-  using OpCallback = std::function<void(int32_t result, bool more)>;
-  using TimerId = uint64_t;
+  using TimerId = TimerHeap::TimerId;
 
   EventLoop();
   ~EventLoop();
@@ -96,8 +90,9 @@ class EventLoop {
 
   // --- engine introspection ---
   [[nodiscard]] const char* backendName() const noexcept;
-  [[nodiscard]] uint32_t backendCapabilities() const noexcept;
-  [[nodiscard]] const char* timerImplName() const noexcept;
+  // Always "heap": the one timer queue. Kept for benchmark provenance
+  // lines that print it.
+  [[nodiscard]] const char* timerImplName() const noexcept { return "heap"; }
   [[nodiscard]] EngineSample engineSample() const noexcept;
 
   // --- fd interest (loop thread only) ---
@@ -109,21 +104,6 @@ class EventLoop {
   void removeFd(int fd);
   [[nodiscard]] bool watching(int fd) const { return handlers_.count(fd) > 0; }
 
-  // --- batched completion ops (loop thread only) ---
-  // The submit-side facade over IoBackend ops: the callback fires on
-  // the loop thread when the op completes. Under io_uring the ops ride
-  // the ring (batched SQEs, no per-op syscall); under epoll they are
-  // emulated with readiness + one syscall per op. An fd must not carry
-  // ops and addFd() interest at the same time. Buffers must outlive
-  // the completion. Returns the op token (for cancelOp).
-  uint64_t submitRecv(int fd, void* buf, uint32_t len, OpCallback cb,
-                      const char* tag = "op");
-  uint64_t submitSend(int fd, const void* buf, uint32_t len, OpCallback cb,
-                      const char* tag = "op");
-  // Multishot: keeps yielding accepted fds until cancelled.
-  uint64_t submitAccept(int fd, OpCallback cb, const char* tag = "op");
-  void cancelOp(uint64_t token);
-
   // --- timers (loop thread only) ---
   TimerId runAfter(Duration delay, Callback cb, const char* tag = "timer");
   TimerId runEvery(Duration period, Callback cb, const char* tag = "timer");
@@ -131,14 +111,13 @@ class EventLoop {
   // Timers armed and neither fired (one-shots) nor cancelled. Loop
   // thread only; test introspection for timer-leak regressions.
   [[nodiscard]] size_t activeTimerCount() const noexcept {
-    return timers_->activeCount();
+    return timers_.activeCount();
   }
-  // Queue entries, including cancelled-but-not-yet-reclaimed ones
-  // (heap only; == activeTimerCount() on the wheel). Loop thread only;
-  // lets tests assert that cancellation doesn't let the queue grow
-  // without bound.
+  // Heap entries, including cancelled-but-not-yet-reclaimed ones. Loop
+  // thread only; lets tests assert that cancellation doesn't let the
+  // heap grow without bound.
   [[nodiscard]] size_t pendingTimerEntries() const noexcept {
-    return timers_->pendingEntries();
+    return timers_.pendingEntries();
   }
 
   // Defers `cb` to the end of the current loop iteration (after io
@@ -183,8 +162,6 @@ class EventLoop {
   void fireTimers();
   void drainAtEnd();
   [[nodiscard]] int msUntilNextTimer() const;
-  uint64_t submitOp(IoOpKind kind, int fd, void* buf, uint32_t len,
-                    OpCallback cb, const char* tag);
 
   // Runs `fn` under the observer's clock when one is installed; plain
   // call (no clock reads) otherwise.
@@ -216,10 +193,7 @@ class EventLoop {
   }
 
   std::unique_ptr<IoBackend> backend_;
-  std::unique_ptr<TimerQueue> timers_;
-  // Cached dispatch thunk handed to TimerQueue::advance (avoids a
-  // std::function allocation per iteration).
-  TimerQueue::FireFn timerFire_;
+  TimerHeap timers_;
 
   struct Handler {
     // shared_ptr so a handler erased mid-dispatch stays alive for the
@@ -228,13 +202,6 @@ class EventLoop {
     const char* tag = "io";
   };
   std::map<int, Handler> handlers_;
-
-  struct OpHandler {
-    std::shared_ptr<OpCallback> cb;
-    const char* tag = "op";
-  };
-  std::map<uint64_t, OpHandler> ops_;
-  uint64_t nextOpToken_ = 1;
 
   struct Task {
     Callback cb;
@@ -246,9 +213,8 @@ class EventLoop {
   // End-of-iteration tasks; loop-thread-only, no lock (see runAtEnd).
   std::vector<Task> atEnd_;
 
-  // Reused per-iteration result buffers for IoBackend::wait.
+  // Reused per-iteration result buffer for IoBackend::wait.
   std::vector<IoEvent> ioEvents_;
-  std::vector<IoCompletion> ioCompletions_;
 
   // Self-profiling; see setObserver for the install/uninstall
   // contract. stallNs_ is written before the observer publish and only

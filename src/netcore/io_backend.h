@@ -1,18 +1,15 @@
-// IoBackend: the pluggable readiness/completion core under EventLoop.
+// IoBackend: the readiness core under EventLoop.
 //
 // EventLoop owns dispatch order, timers and cross-thread posts; the
 // backend owns the kernel interface: fd interest registration, the
-// blocking wait, and (optionally batched) completion I/O operations.
-// Two implementations exist:
+// blocking wait, and the cross-thread wakeup. Two implementations
+// exist:
 //  * EpollBackend    — level-triggered epoll, the default and the
-//    fallback. Completion ops are emulated with readiness + one plain
-//    syscall per op, so semantics match io_uring exactly at the cost
-//    of the syscalls the ring would have batched.
-//  * IoUringBackend  — io_uring completion backend: oneshot POLL_ADD
+//    fallback.
+//  * IoUringBackend  — readiness through io_uring: oneshot POLL_ADD
 //    re-armed after every completion (exact level-triggered parity
-//    with epoll), SQEs batched into one io_uring_enter per wakeup,
-//    multishot accept where the kernel supports it, registered
-//    buffer/fd support probed and reported but not yet exploited.
+//    with epoll), with every re-arm batched into the one io_uring_enter
+//    that waits.
 //
 // Selection: ZDR_IO_BACKEND=epoll|io_uring|auto (see io_stats.h).
 // epoll is the default; io_uring requests degrade to epoll with one
@@ -40,49 +37,13 @@ struct IoEvent {
   uint32_t events = 0;
 };
 
-// Completion-I/O operation kinds (the batched-submit facade).
-enum class IoOpKind : uint8_t {
-  kRecv = 0,
-  kSend = 1,
-  kAccept = 2,  // result is the accepted fd; may complete repeatedly
-                // (multishot) until cancelled
-};
-
-// One submitted operation. Buffers must stay valid until the
-// completion for `token` is delivered (or the backend is destroyed).
-struct IoOp {
-  IoOpKind kind = IoOpKind::kRecv;
-  int fd = -1;
-  void* buf = nullptr;  // recv target / send source (unused for accept)
-  uint32_t len = 0;
-  uint64_t token = 0;  // caller-chosen; echoed in the completion
-};
-
-// One finished operation. result follows syscall conventions: bytes
-// moved (recv/send), the accepted fd (accept), or -errno.
-struct IoCompletion {
-  uint64_t token = 0;
-  int32_t result = 0;
-  // Multishot ops set this while the kernel keeps them armed; the last
-  // completion of a multishot (or any oneshot) clears it.
-  bool more = false;
-};
-
-// Probed backend capabilities (io_uring only; epoll reports none).
-// kRegisteredBuffers/kRegisteredFds are probed and surfaced for
-// introspection but not yet exploited by any op path.
-inline constexpr uint32_t kCapSqeBatching = 1u << 0;
-inline constexpr uint32_t kCapMultishotAccept = 1u << 1;
-inline constexpr uint32_t kCapRegisteredBuffers = 1u << 2;
-inline constexpr uint32_t kCapRegisteredFds = 1u << 3;
-
 // Monotonic counters for the engine bench and the loop.backend.*
 // metrics family. All syscall counts are the backend's own: consumer
-// read()/write() syscalls on the readiness path live in IoStats.
+// read()/write() syscalls live in IoStats.
 struct IoBackendStats {
   uint64_t waitSyscalls = 0;  // epoll_wait / io_uring_enter calls
-  uint64_t opSyscalls = 0;    // syscalls spent emulating ops (epoll
-                              // recv/send/accept; always 0 for uring)
+  uint64_t opSyscalls = 0;    // always 0: no backend runs I/O ops; kept
+                              // so EngineSample readers still compile
   uint64_t sqesSubmitted = 0;  // uring only
   uint64_t cqesReaped = 0;     // uring only
   uint64_t pollRearms = 0;     // uring only: oneshot POLL_ADD re-arms
@@ -93,29 +54,15 @@ class IoBackend {
   virtual ~IoBackend() = default;
 
   [[nodiscard]] virtual const char* name() const noexcept = 0;
-  [[nodiscard]] virtual uint32_t capabilities() const noexcept = 0;
 
   // --- fd readiness interest (level-triggered on both backends) ---
   virtual void addFd(int fd, uint32_t events) = 0;
   virtual void modifyFd(int fd, uint32_t events) = 0;
   virtual void removeFd(int fd) = 0;
 
-  // --- batched completion ops ---
-  // Ops are queued here and hit the kernel inside the next wait():
-  // io_uring submits the whole batch with the same io_uring_enter that
-  // waits; epoll performs one plain syscall per op when the fd turns
-  // ready. An fd must not be used for ops and readiness interest at
-  // the same time (the epoll emulation owns the fd's registration
-  // while ops are pending).
-  virtual void submitOp(const IoOp& op) = 0;
-  // Cancels a pending (possibly multishot) op; its completion may
-  // still arrive if it already fired. Safe on unknown tokens.
-  virtual void cancelOp(uint64_t token) = 0;
-
   // Blocks up to timeoutMs (0 ⇒ just harvest) and appends readiness
-  // events and op completions. Returns the number of entries appended.
-  virtual int wait(int timeoutMs, std::vector<IoEvent>& events,
-                   std::vector<IoCompletion>& completions) = 0;
+  // events. Returns the number of events appended.
+  virtual int wait(int timeoutMs, std::vector<IoEvent>& events) = 0;
 
   // Unblocks a concurrent wait() from another thread.
   virtual void wakeup() noexcept = 0;

@@ -123,11 +123,6 @@ inline std::atomic<bool>& zeroCopyFlag() noexcept {
   static std::atomic<bool> enabled{std::getenv("ZDR_NO_ZEROCOPY") == nullptr};
   return enabled;
 }
-inline std::atomic<bool>& timerWheelFlag() noexcept {
-  static std::atomic<bool> enabled{std::getenv("ZDR_NO_TIMER_WHEEL") ==
-                                   nullptr};
-  return enabled;
-}
 inline std::atomic<int>& ioBackendFlag() noexcept {
   // 0 = epoll, 1 = io_uring (requested; may still fall back at loop
   // construction if the kernel can't run it).
@@ -191,17 +186,6 @@ inline void setZeroCopyEnabled(bool on) noexcept {
 // SO_ZEROCOPY on a TCP socket. Logs once to stderr when missing so
 // bench runs can tell which mode actually ran. Defined in socket.cpp.
 [[nodiscard]] bool zeroCopySupported() noexcept;
-
-// When false (ZDR_NO_TIMER_WHEEL=1, or setTimerWheelEnabled(false)),
-// new EventLoops use the legacy binary-heap timer queue instead of the
-// hierarchical wheel. Read at loop construction only: flipping it does
-// not migrate running loops.
-inline bool timerWheelEnabled() noexcept {
-  return detail::timerWheelFlag().load(std::memory_order_relaxed);
-}
-inline void setTimerWheelEnabled(bool on) noexcept {
-  detail::timerWheelFlag().store(on, std::memory_order_relaxed);
-}
 
 // Requested EventLoop I/O backend (ZDR_IO_BACKEND=epoll|io_uring).
 // epoll is the default; an io_uring request degrades to epoll with one

@@ -6,8 +6,6 @@
 #include <linux/time_types.h>
 #include <poll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -16,9 +14,7 @@
 #endif
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-
 
 #include "netcore/result.h"
 
@@ -35,27 +31,17 @@ namespace {
 
 // user_data layout: [63:56] kind, rest kind-specific.
 //  poll:   [55:32] generation, [31:0] fd
-//  op:     [55:0]  caller token (recv/send/accept)
 //  cancel: the ASYNC_CANCEL SQE itself (its CQE is dropped)
 constexpr uint64_t kKindPoll = 1;
-constexpr uint64_t kKindOp = 2;
-constexpr uint64_t kKindCancel = 3;
+constexpr uint64_t kKindCancel = 2;
 
 uint64_t pollData(uint32_t gen, int fd) {
   return (kKindPoll << 56) | (static_cast<uint64_t>(gen & 0xffffffu) << 32) |
          static_cast<uint32_t>(fd);
 }
-uint64_t opData(uint64_t token) {
-  return (kKindOp << 56) | (token & 0x00ffffffffffffffULL);
-}
 
 int ringSetup(unsigned entries, io_uring_params* p) noexcept {
   return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-int ringRegister(int fd, unsigned opcode, const void* arg,
-                 unsigned nrArgs) noexcept {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nrArgs));
 }
 
 template <typename T>
@@ -128,8 +114,6 @@ IoUringBackend::IoUringBackend() {
   cqMask_ = *ringPtr<unsigned>(cqRing_, p.cq_off.ring_mask);
   cqes_ = ringPtr<io_uring_cqe>(cqRing_, p.cq_off.cqes);
 
-  probeCapabilities();
-
   wakeFd_.reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
   if (!wakeFd_) {
     throwErrno("eventfd");
@@ -149,42 +133,6 @@ IoUringBackend::~IoUringBackend() {
   }
   if (sqRing_ != nullptr) {
     ::munmap(sqRing_, sqRingSize_);
-  }
-}
-
-void IoUringBackend::probeCapabilities() {
-  // Opcode probe (IORING_REGISTER_PROBE, 5.6+).
-  // io_uring_probe ends in a flexible array; carve it out of a flat
-  // buffer.
-  alignas(io_uring_probe) static char
-      probeBuf[sizeof(io_uring_probe) + 256 * sizeof(io_uring_probe_op)];
-  std::memset(probeBuf, 0, sizeof(probeBuf));
-  auto* probe = reinterpret_cast<io_uring_probe*>(probeBuf);
-  bool haveProbe =
-      ringRegister(ringFd_.get(), IORING_REGISTER_PROBE, probe, 256) == 0;
-  auto opSupported = [&](unsigned op) {
-    return haveProbe && op < probe->ops_len &&
-           (probe->ops[op].flags & IO_URING_OP_SUPPORTED) != 0;
-  };
-  // IORING_ACCEPT_MULTISHOT shipped in 5.19 alongside IORING_OP_SOCKET;
-  // the flag itself is not probeable, so the opcode stands proxy.
-  if (opSupported(IORING_OP_SOCKET) && opSupported(IORING_OP_ACCEPT)) {
-    caps_ |= kCapMultishotAccept;
-  }
-  // Registered-resource probes: try a real (tiny) registration and
-  // undo it. Surfaced via capabilities(); no op path uses them yet.
-  static char regBuf[64];
-  struct iovec iov {};
-  iov.iov_base = regBuf;
-  iov.iov_len = sizeof(regBuf);
-  if (ringRegister(ringFd_.get(), IORING_REGISTER_BUFFERS, &iov, 1) == 0) {
-    ringRegister(ringFd_.get(), IORING_UNREGISTER_BUFFERS, nullptr, 0);
-    caps_ |= kCapRegisteredBuffers;
-  }
-  int probeFd = 0;  // stdin: any valid fd works for the probe
-  if (ringRegister(ringFd_.get(), IORING_REGISTER_FILES, &probeFd, 1) == 0) {
-    ringRegister(ringFd_.get(), IORING_UNREGISTER_FILES, nullptr, 0);
-    caps_ |= kCapRegisteredFds;
   }
 }
 
@@ -233,32 +181,6 @@ void IoUringBackend::pushCancel(uint64_t targetUserData) {
   sqe->user_data = kKindCancel << 56;
 }
 
-void IoUringBackend::pushOpSqe(const IoOp& op, bool multishotAccept) {
-  io_uring_sqe* sqe = getSqe();
-  sqe->fd = op.fd;
-  sqe->user_data = opData(op.token);
-  switch (op.kind) {
-    case IoOpKind::kRecv:
-      sqe->opcode = IORING_OP_RECV;
-      sqe->addr = reinterpret_cast<uint64_t>(op.buf);
-      sqe->len = op.len;
-      break;
-    case IoOpKind::kSend:
-      sqe->opcode = IORING_OP_SEND;
-      sqe->addr = reinterpret_cast<uint64_t>(op.buf);
-      sqe->len = op.len;
-      sqe->msg_flags = MSG_NOSIGNAL;
-      break;
-    case IoOpKind::kAccept:
-      sqe->opcode = IORING_OP_ACCEPT;
-      sqe->accept_flags = SOCK_NONBLOCK | SOCK_CLOEXEC;
-      if (multishotAccept) {
-        sqe->ioprio = IORING_ACCEPT_MULTISHOT;
-      }
-      break;
-  }
-}
-
 void IoUringBackend::addFd(int fd, uint32_t events) {
   FdState& st = fds_[fd];
   st.events = events;
@@ -291,20 +213,6 @@ void IoUringBackend::removeFd(int fd) {
   fds_.erase(it);
 }
 
-void IoUringBackend::submitOp(const IoOp& op) {
-  if (op.kind == IoOpKind::kAccept) {
-    acceptOps_[op.token] = op;
-    pushOpSqe(op, (caps_ & kCapMultishotAccept) != 0);
-    return;
-  }
-  pushOpSqe(op, false);
-}
-
-void IoUringBackend::cancelOp(uint64_t token) {
-  acceptOps_.erase(token);
-  pushCancel(opData(token));
-}
-
 int IoUringBackend::enter(unsigned toSubmit, unsigned minComplete,
                           unsigned flags, const void* arg,
                           size_t argsz) noexcept {
@@ -327,73 +235,47 @@ void IoUringBackend::flushSubmissions() {
   }
 }
 
-void IoUringBackend::reap(std::vector<IoEvent>& events,
-                          std::vector<IoCompletion>& completions,
-                          int& appended) {
+int IoUringBackend::reap(std::vector<IoEvent>& events) {
+  int appended = 0;
   unsigned head = __atomic_load_n(cqHead_, __ATOMIC_RELAXED);
   unsigned tail = __atomic_load_n(cqTail_, __ATOMIC_ACQUIRE);
   while (head != tail) {
     const io_uring_cqe* cqe = &cqes_[head & cqMask_];
     ++head;
     ++stats_.cqesReaped;
-    uint64_t kind = cqe->user_data >> 56;
-    if (kind == kKindPoll) {
-      int fd = static_cast<int>(cqe->user_data & 0xffffffffu);
-      auto gen = static_cast<uint32_t>((cqe->user_data >> 32) & 0xffffffu);
-      auto it = fds_.find(fd);
-      if (it == fds_.end() || it->second.gen != gen) {
-        continue;  // stale: fd removed or re-registered since arming
-      }
-      FdState& st = it->second;
-      st.armed = false;
-      if (cqe->res == -ECANCELED) {
-        continue;  // our own cancel (modifyFd) won the race
-      }
-      if (!st.rearmQueued) {
-        st.rearmQueued = true;
-        rearm_.push_back(fd);
-      }
-      if (st.internal) {
-        uint64_t drained = 0;
-        [[maybe_unused]] ssize_t r =
-            ::read(fd, &drained, sizeof(drained));
-        continue;
-      }
-      uint32_t mask = cqe->res < 0
-                          ? (kEvError | kEvHup)
-                          : static_cast<uint32_t>(cqe->res);
-      events.push_back(IoEvent{fd, mask});
-      ++appended;
-    } else if (kind == kKindOp) {
-      uint64_t token = cqe->user_data & 0x00ffffffffffffffULL;
-      bool more = (cqe->flags & IORING_CQE_F_MORE) != 0;
-      auto acc = acceptOps_.find(token);
-      if (acc != acceptOps_.end()) {
-        if (cqe->res == -ECANCELED) {
-          continue;  // cancelOp raced the accept; op already erased
-        }
-        // Keep the multishot contract: while the op is registered it
-        // stays armed, whether the kernel re-arms it (F_MORE) or we
-        // re-submit a oneshot accept ourselves.
-        if (!more) {
-          pushOpSqe(acc->second, (caps_ & kCapMultishotAccept) != 0);
-        }
-        completions.push_back(IoCompletion{token, cqe->res, true});
-      } else {
-        if (cqe->res == -ECANCELED && more) {
-          continue;
-        }
-        completions.push_back(IoCompletion{token, cqe->res, more});
-      }
-      ++appended;
+    if ((cqe->user_data >> 56) != kKindPoll) {
+      continue;  // kKindCancel results are dropped
     }
-    // kKindCancel results are dropped.
+    int fd = static_cast<int>(cqe->user_data & 0xffffffffu);
+    auto gen = static_cast<uint32_t>((cqe->user_data >> 32) & 0xffffffu);
+    auto it = fds_.find(fd);
+    if (it == fds_.end() || it->second.gen != gen) {
+      continue;  // stale: fd removed or re-registered since arming
+    }
+    FdState& st = it->second;
+    st.armed = false;
+    if (cqe->res == -ECANCELED) {
+      continue;  // our own cancel (modifyFd) won the race
+    }
+    if (!st.rearmQueued) {
+      st.rearmQueued = true;
+      rearm_.push_back(fd);
+    }
+    if (st.internal) {
+      uint64_t drained = 0;
+      [[maybe_unused]] ssize_t r = ::read(fd, &drained, sizeof(drained));
+      continue;
+    }
+    uint32_t mask = cqe->res < 0 ? (kEvError | kEvHup)
+                                 : static_cast<uint32_t>(cqe->res);
+    events.push_back(IoEvent{fd, mask});
+    ++appended;
   }
   __atomic_store_n(cqHead_, head, __ATOMIC_RELEASE);
+  return appended;
 }
 
-int IoUringBackend::wait(int timeoutMs, std::vector<IoEvent>& events,
-                         std::vector<IoCompletion>& completions) {
+int IoUringBackend::wait(int timeoutMs, std::vector<IoEvent>& events) {
   // Re-arm polls for fds that completed last iteration and are still
   // registered. Arming runs vfs_poll, so an fd whose data was only
   // partially drained completes again immediately — the level-
@@ -435,9 +317,7 @@ int IoUringBackend::wait(int timeoutMs, std::vector<IoEvent>& events,
     flushSubmissions();
   }
 
-  int appended = 0;
-  reap(events, completions, appended);
-  return appended;
+  return reap(events);
 }
 
 void IoUringBackend::wakeup() noexcept {
@@ -454,27 +334,19 @@ IoUringBackend::IoUringBackend() {
   throwErrno("io_uring (not built on this platform)");
 }
 IoUringBackend::~IoUringBackend() = default;
-void IoUringBackend::probeCapabilities() {}
 io_uring_sqe* IoUringBackend::getSqe() { return nullptr; }
 void IoUringBackend::pushPoll(int, FdState&) {}
 void IoUringBackend::pushCancel(uint64_t) {}
-void IoUringBackend::pushOpSqe(const IoOp&, bool) {}
 void IoUringBackend::flushSubmissions() {}
 int IoUringBackend::enter(unsigned, unsigned, unsigned, const void*,
                           size_t) noexcept {
   return -1;
 }
-void IoUringBackend::reap(std::vector<IoEvent>&, std::vector<IoCompletion>&,
-                          int&) {}
+int IoUringBackend::reap(std::vector<IoEvent>&) { return 0; }
 void IoUringBackend::addFd(int, uint32_t) {}
 void IoUringBackend::modifyFd(int, uint32_t) {}
 void IoUringBackend::removeFd(int) {}
-void IoUringBackend::submitOp(const IoOp&) {}
-void IoUringBackend::cancelOp(uint64_t) {}
-int IoUringBackend::wait(int, std::vector<IoEvent>&,
-                         std::vector<IoCompletion>&) {
-  return 0;
-}
+int IoUringBackend::wait(int, std::vector<IoEvent>&) { return 0; }
 void IoUringBackend::wakeup() noexcept {}
 
 #endif  // ZDR_HAVE_IO_URING

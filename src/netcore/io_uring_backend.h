@@ -1,7 +1,7 @@
-// IoUringBackend: io_uring completion backend for EventLoop.
+// IoUringBackend: io_uring readiness backend for EventLoop.
 //
-// Built on the raw syscalls (io_uring_setup/enter/register) + mmap'd
-// rings — no liburing dependency. Design points:
+// Built on the raw syscalls (io_uring_setup/enter) + mmap'd rings — no
+// liburing dependency. Design points:
 //
 //  * Readiness with exact level-triggered parity: every watched fd is
 //    covered by a ONESHOT IORING_OP_POLL_ADD. When its CQE is reaped
@@ -14,19 +14,13 @@
 //    Idle fds cost nothing after the initial arm: re-arm SQEs scale
 //    with *active* fds, not registered ones.
 //  * One io_uring_enter per wakeup: all pending SQEs (re-arms,
-//    cancels, completion ops) ride the same enter that waits for
-//    CQEs, with an IORING_ENTER_EXT_ARG timeout. CQEs are harvested
-//    from the shared ring without syscalls.
-//  * Completion ops (recv/send/accept) become real SQEs; accept uses
-//    IORING_ACCEPT_MULTISHOT when the kernel has it (probed), else
-//    the backend re-arms a oneshot accept per completion so the
-//    multishot contract holds everywhere.
+//    cancels) ride the same enter that waits for CQEs, with an
+//    IORING_ENTER_EXT_ARG timeout. CQEs are harvested from the shared
+//    ring without syscalls.
 //  * Stale-completion safety: poll user_data carries a generation
 //    drawn from a global counter; modifyFd/removeFd bump the
 //    generation and cancel the in-flight poll, so a CQE from a
 //    previous registration of the same fd number is dropped.
-//  * Registered buffers / registered files are probed at startup and
-//    reported via capabilities(), but no op path exploits them yet.
 //
 // Requires IORING_FEAT_EXT_ARG (kernel 5.11+) for timed waits;
 // ioUringSupported() reports false on anything older and EventLoop
@@ -58,19 +52,12 @@ class IoUringBackend final : public IoBackend {
   [[nodiscard]] const char* name() const noexcept override {
     return "io_uring";
   }
-  [[nodiscard]] uint32_t capabilities() const noexcept override {
-    return caps_;
-  }
 
   void addFd(int fd, uint32_t events) override;
   void modifyFd(int fd, uint32_t events) override;
   void removeFd(int fd) override;
 
-  void submitOp(const IoOp& op) override;
-  void cancelOp(uint64_t token) override;
-
-  int wait(int timeoutMs, std::vector<IoEvent>& events,
-           std::vector<IoCompletion>& completions) override;
+  int wait(int timeoutMs, std::vector<IoEvent>& events) override;
   void wakeup() noexcept override;
 
   [[nodiscard]] IoBackendStats stats() const noexcept override {
@@ -89,13 +76,10 @@ class IoUringBackend final : public IoBackend {
   io_uring_sqe* getSqe();
   void pushPoll(int fd, FdState& st);
   void pushCancel(uint64_t targetUserData);
-  void pushOpSqe(const IoOp& op, bool multishotAccept);
   void flushSubmissions();
   int enter(unsigned toSubmit, unsigned minComplete, unsigned flags,
             const void* arg, size_t argsz) noexcept;
-  void reap(std::vector<IoEvent>& events,
-            std::vector<IoCompletion>& completions, int& appended);
-  void probeCapabilities();
+  int reap(std::vector<IoEvent>& events);
 
   FdGuard ringFd_;
   FdGuard wakeFd_;  // eventfd, registered as an internal polled fd
@@ -121,11 +105,7 @@ class IoUringBackend final : public IoBackend {
 
   std::map<int, FdState> fds_;
   std::vector<int> rearm_;  // fds whose poll must be re-armed
-  // Multishot-contract accept ops (re-armed on completion when the
-  // kernel lacks IORING_ACCEPT_MULTISHOT; removed by cancelOp).
-  std::map<uint64_t, IoOp> acceptOps_;
 
-  uint32_t caps_ = kCapSqeBatching;
   uint32_t nextGen_ = 1;
   IoBackendStats stats_;
 };

@@ -2,215 +2,12 @@
 
 #include <algorithm>
 
-#include "netcore/io_stats.h"
-
 namespace zdr {
 
-// --------------------------------------------------------------- wheel
-
-TimerWheel::TimerWheel(TimePoint epoch) : epoch_(epoch) {}
-
-TimerWheel::~TimerWheel() = default;
-
-uint64_t TimerWheel::toMs(TimePoint tp) const noexcept {
-  if (tp <= epoch_) {
-    return 0;
-  }
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
-                .count();
-  // Ceiling: a deadline mid-tick rounds up, so the timer never fires
-  // before its wall-clock deadline.
-  return (static_cast<uint64_t>(ns) + 999'999) / 1'000'000;
-}
-
-uint64_t TimerWheel::floorMs(TimePoint tp) const noexcept {
-  if (tp <= epoch_) {
-    return 0;
-  }
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
-                .count();
-  // Floor: the cursor only enters a tick once that tick's wall-clock
-  // window has fully opened. Paired with the ceiling on deadlines this
-  // is what makes the wheel never-early: expireMs = ceil(deadline) and
-  // nowMs_ = floor(now), so nowMs_ ≥ expireMs implies now ≥ deadline.
-  return static_cast<uint64_t>(ns) / 1'000'000;
-}
-
-void TimerWheel::link(int level, int slot, Entry* e) noexcept {
-  Entry*& head = slots_[level][slot];
-  e->level = static_cast<uint8_t>(level);
-  e->next = head;
-  e->pprev = &head;
-  if (head != nullptr) {
-    head->pprev = &e->next;
-  }
-  head = e;
-  ++levelCount_[level];
-}
-
-void TimerWheel::unlink(Entry* e) noexcept {
-  *e->pprev = e->next;
-  if (e->next != nullptr) {
-    e->next->pprev = e->pprev;
-  }
-  e->next = nullptr;
-  e->pprev = nullptr;
-  --levelCount_[e->level];
-}
-
-void TimerWheel::schedule(Entry* e) noexcept {
-  uint64_t delta = e->expireMs - nowMs_;
-  int level = 0;
-  if (delta >= (1ull << (3 * kSlotBits))) {
-    level = 3;
-    // The wheel horizon is 2^32 ms ≈ 49.7 days; anything longer is
-    // clamped to it (and re-clamped at each level-3 cascade, so it
-    // still fires no earlier than the horizon allows).
-    constexpr uint64_t kMaxDelta = (1ull << (4 * kSlotBits)) - 1;
-    if (delta > kMaxDelta) {
-      e->expireMs = nowMs_ + kMaxDelta;
-    }
-  } else if (delta >= (1ull << (2 * kSlotBits))) {
-    level = 2;
-  } else if (delta >= (1ull << kSlotBits)) {
-    level = 1;
-  }
-  int slot = static_cast<int>((e->expireMs >> (level * kSlotBits)) &
-                              (kSlots - 1));
-  link(level, slot, e);
-}
-
-TimerQueue::TimerId TimerWheel::arm(TimePoint deadline, Duration period,
-                                    Callback cb, const char* tag) {
-  // Clamp to the next tick: the current tick's slot has already been
-  // (or is being) drained, so a due-now deadline fires on the next
-  // advance — the same "next loop iteration" latency the heap gives.
-  return armAtMs(std::max(toMs(deadline), nowMs_ + 1), period,
-                 std::move(cb), tag);
-}
-
-TimerQueue::TimerId TimerWheel::armAtMs(uint64_t expireMs, Duration period,
-                                        Callback cb, const char* tag) {
+TimerHeap::TimerId TimerHeap::arm(TimePoint deadline, Duration period,
+                                  Callback cb, const char* tag) {
   TimerId id = nextId_++;
-  auto e = std::make_unique<Entry>();
-  e->expireMs = std::max(expireMs, nowMs_ + 1);
-  e->period = period;
-  e->id = id;
-  e->cb = std::move(cb);
-  e->tag = tag;
-  Entry* raw = e.get();
-  byId_.emplace(id, std::move(e));
-  schedule(raw);
-  ++stats_.armed;
-  return id;
-}
-
-bool TimerWheel::cancel(TimerId id) {
-  auto it = byId_.find(id);
-  if (it == byId_.end()) {
-    return false;
-  }
-  unlink(it->second.get());
-  byId_.erase(it);
-  ++stats_.cancelled;
-  return true;
-}
-
-void TimerWheel::cascade(int level) {
-  int slot = static_cast<int>((nowMs_ >> (level * kSlotBits)) &
-                              (kSlots - 1));
-  Entry*& head = slots_[level][slot];
-  while (head != nullptr) {
-    Entry* e = head;
-    unlink(e);
-    schedule(e);  // delta has shrunk below this level's floor (or the
-                  // entry was clamped); re-file it lower
-    ++stats_.cascades;
-  }
-}
-
-void TimerWheel::tick(const FireFn& fire) {
-  // Cascades run before the drain so an entry expiring exactly on a
-  // boundary tick lands in — and fires from — this tick's level-0
-  // slot.
-  if ((nowMs_ & (kSlots - 1)) == 0) {
-    cascade(1);
-    if (((nowMs_ >> kSlotBits) & (kSlots - 1)) == 0) {
-      cascade(2);
-      if (((nowMs_ >> (2 * kSlotBits)) & (kSlots - 1)) == 0) {
-        cascade(3);
-      }
-    }
-  }
-  // Pop-front drain: callbacks may cancel any timer (including later
-  // entries of this very slot) or arm new ones (which land at
-  // nowMs_+1 or later, never in this slot) — the loop stays correct
-  // because every mutation goes through the slot head.
-  Entry*& head = slots_[0][nowMs_ & (kSlots - 1)];
-  while (head != nullptr) {
-    Entry* e = head;
-    unlink(e);
-    ++stats_.fired;
-    if (e->period.count() > 0) {
-      // Re-arm BEFORE dispatch: a callback cancelling its own periodic
-      // timer must find it armed (and kill it for good).
-      e->expireMs =
-          nowMs_ + std::max<uint64_t>(
-                       1, static_cast<uint64_t>(e->period.count()));
-      schedule(e);
-      // The callback may cancel this timer (destroying `e`) while
-      // running; fire a copy.
-      Callback cb = e->cb;
-      fire(e->tag, cb);
-    } else {
-      // One-shot: leaves the bookkeeping before its callback runs, so
-      // activeCount() excludes it and self-cancel is a no-op. The node
-      // is kept alive locally for the call.
-      auto node = std::move(byId_.find(e->id)->second);
-      byId_.erase(e->id);
-      fire(node->tag, node->cb);
-    }
-  }
-}
-
-void TimerWheel::advance(TimePoint now, const FireFn& fire) {
-  advanceToMs(floorMs(now), fire);
-}
-
-void TimerWheel::advanceToMs(uint64_t targetMs, const FireFn& fire) {
-  while (nowMs_ < targetMs) {
-    ++nowMs_;
-    tick(fire);
-  }
-}
-
-int TimerWheel::msUntilNext(TimePoint now) const {
-  if (byId_.empty()) {
-    return 100;  // idle tick: bounded so stop() latency stays low
-  }
-  if (floorMs(now) > nowMs_) {
-    return 0;  // the cursor is behind real time; advance first
-  }
-  for (uint64_t d = 1; d <= 100; ++d) {
-    if (slots_[0][(nowMs_ + d) & (kSlots - 1)] != nullptr) {
-      return static_cast<int>(d);
-    }
-  }
-  if (levelCount_[1] + levelCount_[2] + levelCount_[3] > 0) {
-    // A higher-level entry could cascade into the next 100 ms; wake at
-    // the next cascade boundary to re-evaluate.
-    auto toBoundary = kSlots - (nowMs_ & (kSlots - 1));
-    return static_cast<int>(std::min<uint64_t>(toBoundary, 100));
-  }
-  return 100;
-}
-
-// ---------------------------------------------------------------- heap
-
-TimerQueue::TimerId TimerHeap::arm(TimePoint deadline, Duration period,
-                                   Callback cb, const char* tag) {
-  TimerId id = nextId_++;
-  timers_.push(Timer{deadline, period, id, std::move(cb), tag});
+  push(Timer{deadline, period, id, std::move(cb), tag});
   alive_.insert(id);
   ++stats_.armed;
   return id;
@@ -225,76 +22,49 @@ bool TimerHeap::cancel(TimerId id) {
   return true;
 }
 
+void TimerHeap::push(Timer t) {
+  heap_.push_back(std::move(t));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+TimerHeap::Timer TimerHeap::popTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Timer t = std::move(heap_.back());
+  heap_.pop_back();
+  return t;
+}
+
 // Lazy heap sweep: a heavy cancel workload (retry timers armed and
 // cancelled per request) leaves dead entries in the heap until their
 // deadlines pass. Rebuild when the dead entries both clear a fixed
 // floor AND outnumber the live ones: each rebuild then reclaims at
 // least half the heap (and ≥64 entries), making compaction amortized
-// O(1) per cancel. The old threshold compared total size against the
-// alive count, so a standing population of periodic timers — whose
-// entries keep the heap large but are always alive — dragged the
-// trigger around with it: enough periodics and a modest dead backlog
-// never compacted (unbounded pending entries); few enough and
-// near-threshold churn rebuilt the whole heap — periodic entries
-// included — for a tiny reclaim.
+// O(1) per cancel. A threshold on total size against the alive count
+// would let a standing population of periodic timers — always alive,
+// keeping the heap large — drag the trigger around: enough periodics
+// and a modest dead backlog never compacts; few enough and
+// near-threshold churn rebuilds the whole heap for a tiny reclaim.
 void TimerHeap::compact() {
-  size_t dead = timers_.size() - alive_.size();
+  size_t dead = heap_.size() - alive_.size();
   if (dead <= 64 || dead < alive_.size()) {
     return;
   }
   ++stats_.compactions;
-  std::vector<Timer> survivors;
-  survivors.reserve(alive_.size());
-  while (!timers_.empty()) {
-    Timer& t = const_cast<Timer&>(timers_.top());
-    if (alive_.count(t.id) > 0) {
-      survivors.push_back(std::move(t));
-    }
-    timers_.pop();
-  }
-  timers_ = std::priority_queue<Timer, std::vector<Timer>, TimerOrder>(
-      TimerOrder{}, std::move(survivors));
-}
-
-void TimerHeap::advance(TimePoint now, const FireFn& fire) {
-  while (!timers_.empty() && timers_.top().deadline <= now) {
-    Timer t = timers_.top();
-    timers_.pop();
-    if (alive_.count(t.id) == 0) {
-      continue;  // cancelled; its set entry is already gone
-    }
-    ++stats_.fired;
-    if (t.period.count() > 0) {
-      Timer next = t;
-      next.deadline = now + t.period;
-      timers_.push(next);
-      fire(t.tag, t.cb);
-    } else {
-      alive_.erase(t.id);
-      fire(t.tag, t.cb);
-    }
-  }
+  std::erase_if(heap_,
+                [this](const Timer& t) { return !alive_.contains(t.id); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 int TimerHeap::msUntilNext(TimePoint now) const {
-  if (timers_.empty()) {
-    return 100;  // idle tick: bounded so stop() latency stays low
+  if (heap_.empty()) {
+    return kIdleTickMs;
   }
-  auto dt = timers_.top().deadline - now;
-  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(dt).count();
-  if (ms < 0) {
+  auto dt = heap_.front().deadline - now;
+  if (dt <= Clock::duration::zero()) {
     return 0;
   }
-  return static_cast<int>(std::min<long long>(ms, 100));
-}
-
-// ------------------------------------------------------------- factory
-
-std::unique_ptr<TimerQueue> makeTimerQueue() {
-  if (timerWheelEnabled()) {
-    return std::make_unique<TimerWheel>();
-  }
-  return std::make_unique<TimerHeap>();
+  auto ms = std::chrono::ceil<std::chrono::milliseconds>(dt).count();
+  return static_cast<int>(std::min<long long>(ms, kIdleTickMs));
 }
 
 }  // namespace zdr

@@ -1,28 +1,26 @@
-// TimerQueue: the pluggable timer core under EventLoop.
+// TimerHeap: the timer queue under EventLoop.
 //
-// Two implementations:
-//  * TimerWheel — hierarchical timing wheel (4 levels × 256 slots at
-//    1 ms granularity): O(1) arm, cancel and fire regardless of how
-//    many timers are pending, which is what a million idle-connection
-//    timeouts need. The default.
-//  * TimerHeap  — the original binary-heap queue, kept as the
-//    `ZDR_NO_TIMER_WHEEL=1` fallback (kill-switch idiom, io_stats.h).
+// A binary min-heap on deadline. Cancellation is lazy: the alive-set
+// entry goes immediately, the heap entry stays until it pops or a
+// compaction sweeps it. EventLoop owns one by value and calls it
+// directly.
 //
-// Both preserve the EventLoop timer contract pinned by the regression
-// tests: a periodic timer is re-armed BEFORE its callback runs (so
-// cancelling it from inside the callback stops it for good), a fired
-// one-shot leaves the bookkeeping before its callback runs (so
+// The heap preserves the EventLoop timer contract pinned by the
+// regression tests: a periodic timer is re-armed BEFORE its callback
+// runs (so cancelling it from inside the callback stops it for good),
+// a fired one-shot leaves the bookkeeping before its callback runs (so
 // cancelling yourself is a no-op), and cancellation from inside any
 // firing callback — including for timers due in the same batch — is
 // safe.
+//
+// A due-now timer fires on the next loop iteration, with no rounding
+// to a tick: the closed-loop load generators re-launch every request
+// through runAfter(0).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -32,150 +30,49 @@ using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 using Duration = std::chrono::milliseconds;
 
-// Monotonic counters for the timer.wheel.* metrics family and the
-// engine bench. `cascades` counts entries re-filed between wheel
-// levels; `compactions` counts heap rebuilds (each impl leaves the
-// other's counter at zero).
-struct TimerQueueStats {
+// Monotonic counters for the <worker>.timer.* metrics family and the
+// engine bench. `compactions` counts heap rebuilds.
+struct TimerStats {
   uint64_t armed = 0;
   uint64_t cancelled = 0;
   uint64_t fired = 0;
-  uint64_t cascades = 0;
   uint64_t compactions = 0;
 };
 
-class TimerQueue {
+class TimerHeap {
  public:
   using TimerId = uint64_t;
   using Callback = std::function<void()>;
-  // Dispatch hook: EventLoop routes each firing through its observer
-  // instrumentation. The queue guarantees the Callback reference stays
-  // valid for the duration of the call even if the callback cancels or
-  // re-arms any timer (including itself).
-  using FireFn = std::function<void(const char* tag, const Callback& cb)>;
 
-  virtual ~TimerQueue() = default;
+  // The longest the loop blocks when no timer is due sooner; keeps
+  // stop() latency bounded.
+  static constexpr int kIdleTickMs = 100;
 
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  // Ids are unique per queue and never reused.
-  virtual TimerId arm(TimePoint deadline, Duration period, Callback cb,
-                      const char* tag) = 0;
+  // Ids are unique per heap and never reused.
+  TimerId arm(TimePoint deadline, Duration period, Callback cb,
+              const char* tag);
   // Returns false if `id` is unknown (already fired one-shot,
   // cancelled, or never armed).
-  virtual bool cancel(TimerId id) = 0;
-  // Fires everything due at `now`, oldest tick first.
-  virtual void advance(TimePoint now, const FireFn& fire) = 0;
-  // Milliseconds until the next timer could fire, capped at 100 (the
-  // loop's idle tick, which keeps stop() latency bounded).
-  [[nodiscard]] virtual int msUntilNext(TimePoint now) const = 0;
+  bool cancel(TimerId id);
+  // Fires everything due at `now`, earliest deadline first, as
+  // fire(tag, cb). The Callback reference stays valid for the call
+  // even if the callback cancels or re-arms any timer, itself
+  // included.
+  template <typename Fire>
+  void advance(TimePoint now, Fire&& fire);
+  // Whole milliseconds until the earliest deadline, rounded UP (a
+  // truncated 0.9 ms would be a 0 ms wait, and the loop would spin
+  // through the last sub-millisecond of every deadline), capped at
+  // kIdleTickMs.
+  [[nodiscard]] int msUntilNext(TimePoint now) const;
   // Armed timers that have neither fired (one-shots) nor been
   // cancelled.
-  [[nodiscard]] virtual size_t activeCount() const noexcept = 0;
-  // Internal entries, including any dead ones awaiting reclamation
-  // (heap only; always == activeCount() for the wheel).
-  [[nodiscard]] virtual size_t pendingEntries() const noexcept = 0;
-  [[nodiscard]] virtual TimerQueueStats stats() const noexcept = 0;
-};
-
-// Hierarchical timing wheel. Deadlines are ms offsets from `epoch`
-// (rounded UP, so a timer never fires before its deadline and at most
-// ~1 ms after it — within the loop's scheduling slack either way).
-// Level n covers deltas [256^n, 256^(n+1)) ms; level 3 tops out at
-// 2^32 ms ≈ 49.7 days and longer deadlines are clamped to it.
-class TimerWheel final : public TimerQueue {
- public:
-  explicit TimerWheel(TimePoint epoch = Clock::now());
-  ~TimerWheel() override;
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "wheel";
+  [[nodiscard]] size_t activeCount() const noexcept { return alive_.size(); }
+  // Heap entries, including dead ones awaiting reclamation.
+  [[nodiscard]] size_t pendingEntries() const noexcept {
+    return heap_.size();
   }
-  TimerId arm(TimePoint deadline, Duration period, Callback cb,
-              const char* tag) override;
-  bool cancel(TimerId id) override;
-  void advance(TimePoint now, const FireFn& fire) override;
-  [[nodiscard]] int msUntilNext(TimePoint now) const override;
-  [[nodiscard]] size_t activeCount() const noexcept override {
-    return byId_.size();
-  }
-  [[nodiscard]] size_t pendingEntries() const noexcept override {
-    return byId_.size();
-  }
-  [[nodiscard]] TimerQueueStats stats() const noexcept override {
-    return stats_;
-  }
-
-  // --- synthetic-time test hooks ---
-  // Converts a TimePoint to a wheel tick (ceiling ms since epoch).
-  [[nodiscard]] uint64_t toMs(TimePoint tp) const noexcept;
-  [[nodiscard]] uint64_t floorMs(TimePoint tp) const noexcept;
-  [[nodiscard]] uint64_t nowMs() const noexcept { return nowMs_; }
-  // Arms at an absolute tick; the same path advance()-armed timers use.
-  TimerId armAtMs(uint64_t expireMs, Duration period, Callback cb,
-                  const char* tag);
-  // Ticks the wheel forward to `targetMs` without a wall clock.
-  void advanceToMs(uint64_t targetMs, const FireFn& fire);
-
- private:
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 8;
-  static constexpr int kSlots = 1 << kSlotBits;  // 256
-
-  struct Entry {
-    // hlist-style links: pprev points at whatever points at us (slot
-    // head or predecessor's next), so unlink is O(1) with no per-entry
-    // slot bookkeeping.
-    Entry* next = nullptr;
-    Entry** pprev = nullptr;
-    uint64_t expireMs = 0;
-    Duration period{0};  // zero ⇒ one-shot
-    TimerId id = 0;
-    Callback cb;
-    const char* tag = "timer";
-    uint8_t level = 0;
-  };
-
-  void link(int level, int slot, Entry* e) noexcept;
-  void unlink(Entry* e) noexcept;
-  // Files `e` into the level/slot its (expireMs - nowMs_) delta calls
-  // for. Callers guarantee expireMs >= nowMs_; an entry due exactly
-  // now lands in the level-0 slot the current tick is about to drain
-  // (only cascade() produces that case — it runs before the drain).
-  void schedule(Entry* e) noexcept;
-  void cascade(int level);
-  void tick(const FireFn& fire);
-
-  TimePoint epoch_;
-  uint64_t nowMs_ = 0;
-  Entry* slots_[kLevels][kSlots] = {};
-  size_t levelCount_[kLevels] = {};
-  std::unordered_map<TimerId, std::unique_ptr<Entry>> byId_;
-  TimerId nextId_ = 1;
-  TimerQueueStats stats_;
-};
-
-// The original binary-heap timer queue (fallback). Cancellation is
-// lazy: the alive-set entry goes immediately, the heap entry stays
-// until it pops or a compaction sweeps it.
-class TimerHeap final : public TimerQueue {
- public:
-  [[nodiscard]] const char* name() const noexcept override {
-    return "heap";
-  }
-  TimerId arm(TimePoint deadline, Duration period, Callback cb,
-              const char* tag) override;
-  bool cancel(TimerId id) override;
-  void advance(TimePoint now, const FireFn& fire) override;
-  [[nodiscard]] int msUntilNext(TimePoint now) const override;
-  [[nodiscard]] size_t activeCount() const noexcept override {
-    return alive_.size();
-  }
-  [[nodiscard]] size_t pendingEntries() const noexcept override {
-    return timers_.size();
-  }
-  [[nodiscard]] TimerQueueStats stats() const noexcept override {
-    return stats_;
-  }
+  [[nodiscard]] const TimerStats& stats() const noexcept { return stats_; }
 
  private:
   struct Timer {
@@ -185,25 +82,44 @@ class TimerHeap final : public TimerQueue {
     Callback cb;
     const char* tag = "timer";
   };
-  struct TimerOrder {
+  // std::*_heap comparator: earliest deadline on top.
+  struct Later {
     bool operator()(const Timer& a, const Timer& b) const {
-      return a.deadline > b.deadline;  // min-heap
+      return a.deadline > b.deadline;
     }
   };
 
+  void push(Timer t);
+  // Moves the earliest entry out of the heap.
+  Timer popTop();
   void compact();
 
-  std::priority_queue<Timer, std::vector<Timer>, TimerOrder> timers_;
+  std::vector<Timer> heap_;
   // Membership ⇒ alive. Erased on cancel and on one-shot fire, so the
   // set never outgrows the armed-timer count; stale heap entries are
   // skipped on pop and swept by compact() when they dominate.
   std::unordered_set<TimerId> alive_;
   TimerId nextId_ = 1;
-  TimerQueueStats stats_;
+  TimerStats stats_;
 };
 
-// Honours the ZDR_NO_TIMER_WHEEL kill switch (io_stats.h): wheel by
-// default, heap when disabled.
-std::unique_ptr<TimerQueue> makeTimerQueue();
+template <typename Fire>
+void TimerHeap::advance(TimePoint now, Fire&& fire) {
+  while (!heap_.empty() && heap_.front().deadline <= now) {
+    Timer t = popTop();
+    if (t.period.count() > 0) {
+      if (alive_.count(t.id) == 0) {
+        continue;  // cancelled; its set entry is already gone
+      }
+      // Re-arm BEFORE dispatch: a callback cancelling its own periodic
+      // timer must find it armed (and kill it for good).
+      push(Timer{now + t.period, t.period, t.id, t.cb, t.tag});
+    } else if (alive_.erase(t.id) == 0) {
+      continue;  // cancelled
+    }
+    ++stats_.fired;
+    fire(t.tag, t.cb);
+  }
+}
 
 }  // namespace zdr

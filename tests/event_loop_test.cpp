@@ -3,6 +3,7 @@
 #include <sys/epoll.h>
 
 #include <atomic>
+#include <functional>
 #include <gtest/gtest.h>
 
 #include "metrics/loop_recorder.h"
@@ -309,6 +310,57 @@ TEST(EventLoopTest, TimerBookkeepingDoesNotGrowUnderChurn) {
   EXPECT_EQ(loop.activeTimerCount(), 0u);
 }
 
+TEST(EventLoopTest, SequentialShortTimersWaitOncePerDeadline) {
+  // Regression: the heap truncated the remaining wait to whole
+  // milliseconds, so the last sub-millisecond of every deadline became
+  // a stream of 0 ms polls — hundreds of thousands of busy waits for a
+  // few hundred timers. Rounded up, each timer costs about one wait.
+  constexpr int kTimers = 100;
+  EventLoop loop;
+  int fired = 0;
+  int early = 0;
+  std::function<void()> armNext = [&] {
+    const TimePoint deadline = Clock::now() + Duration{3};
+    loop.runAfter(Duration{3}, [&, deadline] {
+      early += Clock::now() < deadline ? 1 : 0;
+      if (++fired < kTimers) {
+        armNext();
+      } else {
+        loop.stop();
+      }
+    });
+  };
+  armNext();
+  const uint64_t waitsBefore = loop.engineSample().io.waitSyscalls;
+  loop.run();
+  const uint64_t waits = loop.engineSample().io.waitSyscalls - waitsBefore;
+  EXPECT_EQ(fired, kTimers);
+  EXPECT_EQ(early, 0) << "a timer fired before its deadline";
+  EXPECT_LE(waits, 2u * kTimers + 8) << "the loop spun on 0 ms waits";
+}
+
+TEST(EventLoopTest, RunAfterZeroChainIsNotQuantized) {
+  // A due-now timer runs on the next iteration, not on the next 1 ms
+  // tick: the closed-loop load generators re-launch every request this
+  // way, so tick rounding caps each connection near 1 request/ms.
+  // 1000 hops take about 1 ms here and at least 1000 ms with ticks.
+  constexpr int kHops = 1000;
+  EventLoop loop;
+  int hops = 0;
+  std::function<void()> hop = [&] {
+    if (++hops < kHops) {
+      loop.runAfter(Duration{0}, hop);
+    } else {
+      loop.stop();
+    }
+  };
+  const TimePoint t0 = Clock::now();
+  loop.runAfter(Duration{0}, hop);
+  loop.run();
+  EXPECT_EQ(hops, kHops);
+  EXPECT_LT(Clock::now() - t0, Duration{500});
+}
+
 // ------------------------------------------------------ loop profiling
 
 // Counting observer for the raw EventLoop hook contract.
@@ -437,6 +489,9 @@ TEST(LoopProfilingTest, BlockingCallbackProducesExactlyOneStallEvent) {
   // Wall/poll/dispatch histograms saw the iteration.
   EXPECT_GE(reg.hdr("w0.loop.iter_us").count(), 1u);
   EXPECT_GE(reg.hdr("w0.loop.dispatch_us").count(), 1u);
+  // Engine counters: both timers armed and fired on this loop.
+  EXPECT_EQ(reg.counter("w0.timer.armed").value(), 2u);
+  EXPECT_EQ(reg.counter("w0.timer.fired").value(), 2u);
 }
 
 }  // namespace

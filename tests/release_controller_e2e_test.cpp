@@ -62,6 +62,7 @@ struct FleetOptions {
   size_t edges = 3;
   size_t origins = 3;
   bool quic = false;
+  Duration httpThinkTime = ScenarioOptions{}.httpThinkTime;
 };
 
 std::vector<Pop> buildFleet(const FleetOptions& f) {
@@ -86,6 +87,7 @@ std::vector<Pop> buildFleet(const FleetOptions& f) {
 
     ScenarioOptions sopts;
     sopts.quic = f.quic;
+    sopts.httpThinkTime = f.httpThinkTime;
     if (fullMode()) {
       // 64 proxies on one box: the pong round-trip rides a ~100 ms
       // scheduling tail, so the default 100 ms liveness probe would
@@ -301,6 +303,15 @@ TEST(ReleaseControllerE2E, RegressionInStageTwoPausesThenRollsBackThatStageOnly)
   f.pops = 2;
   f.edges = fullMode() ? 4 : 2;
   f.origins = 2;
+  // The breach is on the *cumulative* client p99: it crosses once slow
+  // samples reach 1% of everything recorded since the fleet started,
+  // while each of the 6 HTTP connections completes only ~3 slow
+  // requests/s. Every second of fast traffic before the fault raises
+  // that bar, so the generator pace decides whether stage 2's soak
+  // outweighs the history. At a 5 ms think time the breach lands
+  // around observation 16 of the stage's ~26; at the default 3 ms the
+  // stage completes before the p99 crosses.
+  f.httpThinkTime = Duration{5};
   auto fleet = buildFleet(f);
   warmTraffic(fleet, 50);
 
