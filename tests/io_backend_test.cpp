@@ -26,6 +26,11 @@ struct BackendCase {
   std::function<std::unique_ptr<IoBackend>()> make;
 };
 
+// gtest folds the printed parameter into every listed test name; its
+// default byte dump would leak the load address of `name` and so give
+// the same case a different ctest name on every build.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
+
 class IoBackendTest : public ::testing::TestWithParam<BackendCase> {
  protected:
   void SetUp() override {
