@@ -1,13 +1,13 @@
 // Proxy throughput trajectory: closed-loop load through the full
 // edge → trunk → origin → app pipeline, swept over the SO_REUSEPORT
-// worker count (httpWorkers ∈ {1, 2, 4}) and the vectored-I/O hot path
-// (writev coalescing on/off, same binary).
+// worker count (httpWorkers ∈ {1, 2, 4}).
 //
 // Reports RPS, p50/p99 latency, CPU per request, and write syscalls
 // per request for every cell, and emits BENCH_proxy_throughput.json so
 // CI can track the perf trajectory across commits
-// (scripts/check_bench_regression.py compares against the committed
-// baseline, warn-only).
+// (scripts/check_bench_regression.py --gate compares against the
+// committed baseline). The binary itself fails when any cell's
+// completions leave the Little's-law prediction.
 //
 // Usage: bench_proxy_throughput [--smoke]
 //   --smoke  equivalent to ZDR_BENCH_SMOKE=1: minimal fleet and
@@ -28,7 +28,6 @@ namespace {
 
 struct Cell {
   size_t httpWorkers = 1;
-  bool vectored = true;
   uint64_t requests = 0;
   uint64_t errors = 0;
   double seconds = 0;
@@ -42,12 +41,9 @@ struct Cell {
   double littleRatio = 0;  // completed ÷ Little's-law prediction
 };
 
-Cell runCell(size_t httpWorkers, bool vectored) {
+Cell runCell(size_t httpWorkers) {
   Cell cell;
   cell.httpWorkers = httpWorkers;
-  cell.vectored = vectored;
-
-  setVectoredIoEnabled(vectored);
 
   core::TestbedOptions opts;
   opts.edges = 1;
@@ -142,7 +138,6 @@ void writeJson(const std::vector<Cell>& cells, const char* path) {
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "    {\"http_workers\": " << c.httpWorkers
-        << ", \"vectored_io\": " << (c.vectored ? "true" : "false")
         << ", \"requests\": " << c.requests << ", \"errors\": " << c.errors
         << ", \"rps\": " << c.rps << ", \"p50_ms\": " << c.p50Ms
         << ", \"p99_ms\": " << c.p99Ms
@@ -165,51 +160,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::banner(
-      "Proxy throughput — SO_REUSEPORT workers × vectored I/O",
-      "RPS scales with the worker ring; writev coalescing cuts write "
-      "syscalls per request on pipelined small responses");
+  bench::banner("Proxy throughput — SO_REUSEPORT workers",
+                "RPS scales with the worker ring; writev coalescing keeps "
+                "write syscalls per request low");
 
-  const bool origVectored = vectoredIoEnabled();
   const size_t workerSweep[] = {1, 2, 4};
   std::vector<Cell> cells;
   for (size_t workers : workerSweep) {
-    for (bool vectored : {true, false}) {
-      cells.push_back(runCell(workers, vectored));
-      const Cell& c = cells.back();
-      std::printf(
-          "workers=%zu vectored=%-3s  %8.0f rps  p50 %6.2f ms  p99 %6.2f ms"
-          "  %7.1f cpu-us/req  %5.2f wr-syscalls/req  little %.2f"
-          "  (%llu reqs, %llu err)\n",
-          c.httpWorkers, c.vectored ? "on" : "off", c.rps, c.p50Ms, c.p99Ms,
-          c.cpuUsPerReq, c.writeSyscallsPerReq, c.littleRatio,
-          static_cast<unsigned long long>(c.requests),
-          static_cast<unsigned long long>(c.errors));
-    }
+    cells.push_back(runCell(workers));
+    const Cell& c = cells.back();
+    std::printf(
+        "workers=%zu  %8.0f rps  p50 %6.2f ms  p99 %6.2f ms"
+        "  %7.1f cpu-us/req  %5.2f wr-syscalls/req  little %.2f"
+        "  (%llu reqs, %llu err)\n",
+        c.httpWorkers, c.rps, c.p50Ms, c.p99Ms, c.cpuUsPerReq,
+        c.writeSyscallsPerReq, c.littleRatio,
+        static_cast<unsigned long long>(c.requests),
+        static_cast<unsigned long long>(c.errors));
   }
-  setVectoredIoEnabled(origVectored);
 
-  // Trajectory summary: the two ratios the tentpole is about.
-  auto find = [&](size_t w, bool v) -> const Cell* {
-    for (const auto& c : cells) {
-      if (c.httpWorkers == w && c.vectored == v) {
-        return &c;
-      }
-    }
-    return nullptr;
-  };
-  const Cell* w1 = find(1, true);
-  const Cell* w4 = find(4, true);
-  const Cell* off1 = find(1, false);
   bench::section("trajectory");
-  if (w1 != nullptr && w4 != nullptr && w1->rps > 0) {
-    bench::row("RPS speedup, 4 workers vs 1 (vectored)", w4->rps / w1->rps,
-               "x");
-  }
-  if (w1 != nullptr && off1 != nullptr && off1->writeSyscallsPerReq > 0) {
-    bench::row("write-syscall reduction, writev vs write",
-               1.0 - w1->writeSyscallsPerReq / off1->writeSyscallsPerReq,
-               "fraction");
+  const Cell& w1 = cells.front();
+  const Cell& w4 = cells.back();
+  if (w1.rps > 0) {
+    bench::row("RPS speedup, 4 workers vs 1", w4.rps / w1.rps, "x");
   }
 
   writeJson(cells, "BENCH_proxy_throughput.json");
@@ -228,10 +202,9 @@ int main(int argc, char** argv) {
   for (const auto& c : cells) {
     if (!bench::littleRatioOk(c.littleRatio)) {
       std::fprintf(stderr,
-                   "error: workers=%zu vectored=%s completed %.2fx the "
-                   "Little's-law prediction (allowed 1 ± %.2f)\n",
-                   c.httpWorkers, c.vectored ? "on" : "off", c.littleRatio,
-                   bench::kLittleTolerance);
+                   "error: workers=%zu completed %.2fx the Little's-law "
+                   "prediction (allowed 1 ± %.2f)\n",
+                   c.httpWorkers, c.littleRatio, bench::kLittleTolerance);
       return 1;
     }
   }

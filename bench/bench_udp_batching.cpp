@@ -1,16 +1,15 @@
 // Batched datagram plane: throughput and syscall economics of
-// recvmmsg/sendmmsg against the one-syscall-per-datagram baseline, on
-// the real quicish serving path (REUSEPORT ring + batched replies).
+// recvmmsg/sendmmsg on the real quicish serving path (REUSEPORT ring +
+// batched replies).
 //
-// Sweeps batching {on, off} (same binary, runtime kill switch — the
-// ZDR_NO_BATCHED_UDP fallback) × server REUSEPORT workers {1, 4} and
-// reports datagrams/sec, UDP syscalls per datagram, and p99 burst RTT
-// per cell. Emits BENCH_udp_batching.json; CI gates on the committed
-// baseline (scripts/check_bench_regression.py --gate) and this binary
-// itself fails if batching does not cut syscalls/datagram at least 2x
-// at workers=4 — the tentpole's acceptance ratio, which is structural
-// (a 16-deep burst is 2 batched syscalls vs 32 scalar ones) and so
-// holds even under --smoke.
+// Sweeps server REUSEPORT workers {1, 4} and reports datagrams/sec,
+// UDP syscalls per datagram, and p99 burst RTT per cell. Emits
+// BENCH_udp_batching.json; CI gates on the committed baseline
+// (scripts/check_bench_regression.py --gate) and this binary itself
+// fails if syscalls/datagram exceeds kMaxSyscallsPerDatagram at
+// workers=4. The bound is structural (a 16-deep burst moves in a
+// couple of batched syscalls per side, where one syscall per datagram
+// would read 1.0 or more) and so holds even under --smoke.
 //
 // Usage: bench_udp_batching [--smoke]
 #include <poll.h>
@@ -37,10 +36,12 @@ using namespace zdr;
 namespace {
 
 constexpr size_t kBurst = 16;
+// Acceptance bound at workers=4. Batched reads ~0.15 on a 4-vCPU VM;
+// one syscall per datagram could not go below 1.0.
+constexpr double kMaxSyscallsPerDatagram = 0.5;
 
 struct Cell {
   size_t udpWorkers = 1;
-  bool batched = true;
   uint64_t datagrams = 0;     // wire datagrams moved in the window
   uint64_t udpSyscalls = 0;   // recv+send syscalls in the window
   double seconds = 0;
@@ -118,11 +119,9 @@ void clientLoop(const SocketAddr& vip, uint64_t connId,
   }
 }
 
-Cell runCell(size_t udpWorkers, bool batched) {
+Cell runCell(size_t udpWorkers) {
   Cell cell;
   cell.udpWorkers = udpWorkers;
-  cell.batched = batched;
-  setBatchedUdpEnabled(batched);
 
   EventLoopThread serverThread("udp-bench-srv");
   std::unique_ptr<quicish::Server> server;
@@ -180,7 +179,6 @@ void writeJson(const std::vector<Cell>& cells, const char* path) {
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "    {\"udp_workers\": " << c.udpWorkers
-        << ", \"batched\": " << (c.batched ? "true" : "false")
         << ", \"datagrams\": " << c.datagrams
         << ", \"udp_syscalls\": " << c.udpSyscalls
         << ", \"seconds\": " << c.seconds
@@ -203,40 +201,19 @@ int main(int argc, char** argv) {
 
   bench::banner(
       "Batched datagram plane — recvmmsg/sendmmsg × REUSEPORT workers",
-      "moving a whole batch per syscall cuts UDP syscalls per datagram "
-      ">=2x on the takeover-era serving path");
+      "moving a whole batch per syscall keeps UDP syscalls per datagram "
+      "well under one on the takeover-era serving path");
 
-  const bool origBatched = batchedUdpEnabled();
   std::vector<Cell> cells;
   for (size_t workers : {size_t{1}, size_t{4}}) {
-    for (bool batched : {true, false}) {
-      cells.push_back(runCell(workers, batched));
-      const Cell& c = cells.back();
-      std::printf(
-          "workers=%zu batched=%-3s  %10.0f dgrams/s  %6.3f syscalls/dgram"
-          "  p99 burst %7.3f ms  (%llu dgrams, %llu syscalls)\n",
-          c.udpWorkers, c.batched ? "on" : "off", c.datagramsPerSec,
-          c.syscallsPerDatagram, c.p99BurstMs,
-          static_cast<unsigned long long>(c.datagrams),
-          static_cast<unsigned long long>(c.udpSyscalls));
-    }
-  }
-  setBatchedUdpEnabled(origBatched);
-
-  auto find = [&](size_t w, bool b) -> const Cell* {
-    for (const auto& c : cells) {
-      if (c.udpWorkers == w && c.batched == b) {
-        return &c;
-      }
-    }
-    return nullptr;
-  };
-  const Cell* on4 = find(4, true);
-  const Cell* off4 = find(4, false);
-  bench::section("trajectory");
-  if (on4 != nullptr && off4 != nullptr && on4->syscallsPerDatagram > 0) {
-    bench::row("syscalls/datagram reduction, batched vs off (w=4)",
-               off4->syscallsPerDatagram / on4->syscallsPerDatagram, "x");
+    cells.push_back(runCell(workers));
+    const Cell& c = cells.back();
+    std::printf(
+        "workers=%zu  %10.0f dgrams/s  %6.3f syscalls/dgram"
+        "  p99 burst %7.3f ms  (%llu dgrams, %llu syscalls)\n",
+        c.udpWorkers, c.datagramsPerSec, c.syscallsPerDatagram, c.p99BurstMs,
+        static_cast<unsigned long long>(c.datagrams),
+        static_cast<unsigned long long>(c.udpSyscalls));
   }
 
   writeJson(cells, "BENCH_udp_batching.json");
@@ -250,13 +227,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: no datagrams moved in any cell\n");
     return 1;
   }
-  // Acceptance gate: >=2x fewer syscalls per datagram with batching on
-  // at workers=4.
-  if (on4 == nullptr || off4 == nullptr || on4->syscallsPerDatagram <= 0 ||
-      off4->syscallsPerDatagram / on4->syscallsPerDatagram < 2.0) {
+  // Acceptance bound: at most kMaxSyscallsPerDatagram at workers=4.
+  const Cell& w4 = cells.back();
+  if (w4.datagrams == 0 || w4.syscallsPerDatagram > kMaxSyscallsPerDatagram) {
     std::fprintf(stderr,
-                 "error: batching did not achieve the 2x syscall/datagram "
-                 "reduction at workers=4\n");
+                 "error: %.3f syscalls/datagram at workers=4 exceeds the "
+                 "%.2f bound\n",
+                 w4.syscallsPerDatagram, kMaxSyscallsPerDatagram);
     return 1;
   }
   return 0;

@@ -78,65 +78,42 @@ METRICS = {
 }
 
 
+# Cell dimensions, in label order: (JSON field, label, default). One key
+# function spans every BENCH_*.json schema because absent dimensions
+# take their default: "tracing"/"recorder" only appear in bench_metrics
+# cells (where absent means on), "udp_workers" only in
+# bench_udp_batching cells, "family"/"backend"/"connections"/"timers"
+# only in bench_event_engine cells (idle cells carry backend +
+# connections, timer cells the standing population).
+KEY_FIELDS = (
+    ("http_workers", "workers", None),
+    ("tracing", "tracing", True),
+    ("udp_workers", "udp_workers", None),
+    ("mode", "mode", None),
+    ("flows", "flows", None),
+    ("shards", "shards", None),
+    ("splice", "splice", None),
+    ("recorder", "recorder", True),
+    ("family", "family", None),
+    ("backend", "backend", None),
+    ("connections", "connections", None),
+    ("timers", "timers", None),
+)
+
+
 def cell_key(cell):
-    # Optional dimensions are defaulted so one key function spans every
-    # BENCH_*.json schema: "tracing"/"recorder" only appear in
-    # bench_metrics cells, "udp_workers"/"batched" only in
-    # bench_udp_batching cells.
-    return (
-        cell.get("http_workers"),
-        cell.get("vectored_io"),
-        cell.get("tracing", True),
-        cell.get("udp_workers"),
-        cell.get("batched"),
-        cell.get("mode"),
-        cell.get("flows"),
-        cell.get("shards"),
-        cell.get("splice"),
-        cell.get("zerocopy"),
-        cell.get("recorder", True),
-        # bench_event_engine dimensions: idle cells carry backend
-        # (+ connections), timer cells carry the standing population.
-        cell.get("family"),
-        cell.get("backend"),
-        cell.get("connections"),
-        cell.get("timers"),
-    )
+    return tuple(cell.get(field, default) for field, _, default in KEY_FIELDS)
 
 
 def cell_label(cell):
-    key = cell_key(cell)
     parts = []
-    if key[0] is not None:
-        parts.append(f"workers={key[0]}")
-    if key[1] is not None:
-        parts.append(f"vectored={'on' if key[1] else 'off'}")
-    if "tracing" in cell:
-        parts.append(f"tracing={'on' if key[2] else 'off'}")
-    if key[3] is not None:
-        parts.append(f"udp_workers={key[3]}")
-    if key[4] is not None:
-        parts.append(f"batched={'on' if key[4] else 'off'}")
-    if key[5] is not None:
-        parts.append(f"mode={key[5]}")
-    if key[6] is not None:
-        parts.append(f"flows={key[6]}")
-    if key[7] is not None:
-        parts.append(f"shards={key[7]}")
-    if key[8] is not None:
-        parts.append(f"splice={'on' if key[8] else 'off'}")
-    if key[9] is not None:
-        parts.append(f"zerocopy={'on' if key[9] else 'off'}")
-    if "recorder" in cell:
-        parts.append(f"recorder={'on' if key[10] else 'off'}")
-    if key[11] is not None:
-        parts.append(f"family={key[11]}")
-    if key[12] is not None:
-        parts.append(f"backend={key[12]}")
-    if key[13] is not None:
-        parts.append(f"connections={key[13]}")
-    if key[14] is not None:
-        parts.append(f"timers={key[14]}")
+    for field, label, _ in KEY_FIELDS:
+        value = cell.get(field)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "on" if value else "off"
+        parts.append(f"{label}={value}")
     return " ".join(parts) or "cell"
 
 

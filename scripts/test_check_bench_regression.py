@@ -28,7 +28,6 @@ def run_check(current, baseline, tolerance=0.30):
 def http_cell(**over):
     cell = {
         "http_workers": 4,
-        "vectored_io": True,
         "errors": 0,
         "rps": 50000.0,
         "p99_ms": 5.0,
@@ -40,7 +39,6 @@ def http_cell(**over):
 def udp_cell(**over):
     cell = {
         "udp_workers": 4,
-        "batched": True,
         "datagrams_per_sec": 200000.0,
         "syscalls_per_datagram": 0.125,
         "p99_burst_ms": 2.0,
@@ -67,7 +65,6 @@ def relay_cell(**over):
         "mode": "tunnel_chain",
         "http_workers": 4,
         "splice": True,
-        "zerocopy": True,
         "errors": 0,
         "rps": 1600.0,
         "p99_ms": 40.0,
@@ -111,14 +108,14 @@ def test_identical_runs_are_clean():
     assert n == 0, findings
 
 
-def test_udp_cells_key_on_workers_and_batched():
-    # Same metrics, different (udp_workers, batched) — must not match.
-    cur = bench(udp_cell(udp_workers=1, batched=False))
-    base = bench(udp_cell(udp_workers=4, batched=True))
+def test_udp_cells_key_on_workers():
+    # Same metrics, different udp_workers — must not match.
+    cur = bench(udp_cell(udp_workers=1))
+    base = bench(udp_cell(udp_workers=4))
     n, findings = run_check(cur, base)
     assert n == 1
     assert "missing from baseline" in findings[0]
-    assert "udp_workers=1" in findings[0] and "batched=off" in findings[0]
+    assert "udp_workers=1" in findings[0]
 
 
 def test_syscalls_per_datagram_regression_detected():
@@ -229,14 +226,14 @@ def test_l4_misroute_rate_zero_policed():
     assert "baseline is zero" in findings[0]
 
 
-def test_relay_cells_key_on_splice_and_zerocopy():
-    # Same metrics, different fast-path switches — must not match.
-    cur = bench(relay_cell(splice=False, zerocopy=False))
+def test_relay_cells_key_on_splice():
+    # Same metrics, different fast-path switch — must not match.
+    cur = bench(relay_cell(splice=False))
     base = bench(relay_cell())
     n, findings = run_check(cur, base)
     assert n == 1
     assert "missing from baseline" in findings[0]
-    assert "splice=off" in findings[0] and "zerocopy=off" in findings[0]
+    assert "splice=off" in findings[0]
 
 
 def test_relay_copy_bytes_zero_policed():

@@ -25,8 +25,8 @@
 //
 // ZDR_NO_STATELESS_LOOKUP=1 (or setStatelessLookupEnabled(false)) is
 // the kill switch: the hybrid router falls back to Maglev + an
-// always-on flow table, the pre-PR behavior — mirroring the
-// ZDR_NO_BATCHED_UDP / ZDR_NO_VECTORED_IO idiom.
+// always-on flow table, the behavior before stateless lookup —
+// mirroring the ZDR_NO_SPLICE_RELAY idiom.
 #pragma once
 
 #include <atomic>

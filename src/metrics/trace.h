@@ -40,7 +40,7 @@ uint64_t newId();
 // windows are directly comparable.
 uint64_t nowNs();
 
-// Global tracing gate (like setVectoredIoEnabled): span recording and
+// Global tracing gate (like setSpliceRelayEnabled): span recording and
 // header propagation are skipped entirely when off. Instruments
 // (counters/histograms) are unaffected.
 void setTracingEnabled(bool on);

@@ -6,8 +6,7 @@
 //
 // The writable-tail API (ensureWritable / writableSpan / commit) lets
 // readv(2) land bytes directly in the buffer instead of bouncing them
-// through a stack chunk + memcpy — the per-byte copy cost the vectored
-// I/O hot path removes.
+// through a stack chunk + memcpy, which is how Connection reads.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 #include "netcore/connection.h"
 
-
 #include <array>
 
 #include "netcore/fault_injection.h"
@@ -18,11 +17,6 @@ constexpr size_t kMaxIov = 64;
 // opening a new one, so bursts of tiny frames don't bloat the iovec
 // list.
 constexpr size_t kSegmentMergeCap = 16 * 1024;
-// Segments at least this large are sent with MSG_ZEROCOPY (pinning the
-// segment until the kernel's completion). Below it the page-pinning
-// bookkeeping costs more than the copy; the threshold sits above
-// kSegmentMergeCap so eligible segments are always unmerged.
-constexpr size_t kZeroCopyMin = 32 * 1024;
 // Bytes requested per splice(2) into the relay pipe. The pipe's own
 // capacity (64 KiB default) is the real cap; asking for more just lets
 // one syscall fill it.
@@ -61,29 +55,6 @@ void Connection::start() {
 }
 
 void Connection::handleEvents(uint32_t events) {
-  if ((events & kEvError) && !closed_ && sock_.valid()) {
-    // MSG_ZEROCOPY completions arrive on the error queue: kEvError
-    // fires with SO_ERROR still 0. Reap before deciding the event is
-    // fatal, and only treat it as a real error when the queue held a
-    // non-zerocopy entry or SO_ERROR is set.
-    ZeroCopyReap reap = reapZeroCopyCompletions(sock_.fd());
-    if (reap.any) {
-      if (!zcAnyDone_ ||
-          static_cast<int32_t>(reap.highestSeq - zcCompletedThrough_) > 0) {
-        zcCompletedThrough_ = reap.highestSeq;
-      }
-      zcAnyDone_ = true;
-      releaseCompletedZcSends(zcCompletedThrough_);
-    }
-    bool fatal = reap.fatal || (events & kEvHup) != 0 ||
-                 detail::getSoError(sock_.fd()) != 0;
-    if (!fatal) {
-      events &= ~static_cast<uint32_t>(kEvError);
-      if (events == 0) {
-        return;
-      }
-    }
-  }
   if (events & (kEvError | kEvHup)) {
     // Pull any final bytes first so data racing a reset is not lost.
     handleReadable();
@@ -108,41 +79,20 @@ void Connection::handleReadable() {
     pumpRelay();
     return;
   }
-  bool vectored = vectoredIoEnabled();
   while (sock_.valid()) {
+    // Scatter read: land bytes directly in the input buffer's writable
+    // tail, with a stack chunk as overflow so one syscall can pull more
+    // than the reserved tail (muduo's trick — the overflow is appended
+    // only on the rare large read).
+    in_.ensureWritable(4096);
+    std::span<std::byte> tail = in_.writableSpan();
+    std::array<std::byte, 16384> extra;
+    std::array<iovec, 2> iov{{{tail.data(), tail.size()},
+                              {extra.data(), extra.size()}}};
     std::error_code ec;
-    size_t n = 0;
-    bool drained = false;
-    if (vectored) {
-      // Scatter read: land bytes directly in the input buffer's
-      // writable tail, with a stack chunk as overflow so one syscall
-      // can pull more than the reserved tail (muduo's trick — the
-      // overflow is appended only on the rare large read).
-      in_.ensureWritable(4096);
-      std::span<std::byte> tail = in_.writableSpan();
-      std::array<std::byte, 16384> extra;
-      std::array<iovec, 2> iov{{{tail.data(), tail.size()},
-                                {extra.data(), extra.size()}}};
-      n = sock_.readv(iov, ec);
-      if (!ec && n > 0) {
-        size_t intoTail = std::min(n, tail.size());
-        in_.commit(intoTail);
-        if (n > intoTail) {
-          in_.append(std::span(extra.data(), n - intoTail));
-        }
-        drained = n < tail.size() + extra.size();
-      }
-    } else {
-      std::array<std::byte, 16384> chunk;
-      n = sock_.read(chunk, ec);
-      if (!ec && n > 0) {
-        in_.append(std::span(chunk.data(), n));
-        drained = n < chunk.size();
-      }
-    }
+    size_t n = sock_.readv(iov, ec);
     if (ec) {
-      if (ec == std::errc::operation_would_block ||
-          ec == std::errc::resource_unavailable_try_again) {
+      if (wouldBlock(ec)) {
         break;
       }
       if (ec == std::errc::interrupted) {
@@ -155,7 +105,12 @@ void Connection::handleReadable() {
       close({});
       return;
     }
-    if (drained) {
+    size_t intoTail = std::min(n, tail.size());
+    in_.commit(intoTail);
+    if (n > intoTail) {
+      in_.append(std::span(extra.data(), n - intoTail));
+    }
+    if (n < tail.size() + extra.size()) {
       break;  // drained the socket
     }
   }
@@ -190,135 +145,44 @@ void Connection::consumeOut(size_t n) {
   }
 }
 
-bool Connection::zeroCopyUsable() {
-  if (!zeroCopyEnabled() || !zeroCopySupported()) {
-    return false;
-  }
-  if (!zcTried_) {
-    zcTried_ = true;
-    zcEnabled_ = sock_.enableZeroCopy();
-  }
-  return zcEnabled_;
-}
-
-void Connection::releaseCompletedZcSends(uint32_t completedThrough) {
-  while (!zcPending_.empty()) {
-    ZcSend& front = zcPending_.front();
-    if (front.sent < front.buf.size()) {
-      break;  // still being sent; nothing behind it can complete either
-    }
-    if (front.pinned &&
-        static_cast<int32_t>(completedThrough - front.seqHi) < 0) {
-      break;  // kernel still references these pages
-    }
-    zcPending_.pop_front();
-  }
-}
-
-// Sends the unsent tail of the newest pinned buffer. Returns true when
-// no zerocopy bytes remain queued; false when blocked (EAGAIN / short
-// write) or the connection died.
-bool Connection::flushZcRemainder() {
-  while (zcUnsent_ > 0 && sock_.valid() && !closed_) {
-    ZcSend& zc = zcPending_.back();
-    auto rest = zc.buf.readable().subspan(zc.sent);
-    bool pinned = false;
-    std::error_code ec;
-    size_t n = sock_.sendZeroCopy(rest, pinned, ec);
-    if (ec) {
-      if (!wouldBlock(ec)) {
-        close(ec);
-      }
-      return false;
-    }
-    if (pinned) {
-      zc.seqHi = zcNextSeq_++;
-      zc.pinned = true;
-    }
-    zc.sent += n;
-    zcUnsent_ -= n;
-    if (zc.sent == zc.buf.size() && !zc.pinned) {
-      // Every send of this buffer fell back to copying: no completion
-      // will ever arrive, release it now.
-      zcPending_.pop_back();
-    }
-    if (n < rest.size()) {
-      return false;  // kernel buffer full: wait for kEvWrite
-    }
-  }
-  return zcUnsent_ == 0;
-}
-
-void Connection::flushOut() {
-  // Zerocopy remainder first: those bytes were queued before anything
-  // currently in out_, so order demands they drain first.
-  if (!flushZcRemainder()) {
-    if (!closed_) {
-      updateInterest();
-    }
-    return;
-  }
+std::error_code Connection::writeQueued() {
   while (outBytes_ > 0 && sock_.valid()) {
-    std::error_code ec;
+    std::array<iovec, kMaxIov> iov;
+    size_t cnt = 0;
     size_t attempted = 0;
-    size_t n = 0;
-    if (vectoredIoEnabled()) {
-      // A large front segment graduates to MSG_ZEROCOPY: move the whole
-      // Buffer out of the queue into the pinned holder (consume() and
-      // ensureWritable() compact via memmove, which would shift bytes
-      // the kernel still references) and send from there untouched.
-      if (out_.front().size() >= kZeroCopyMin && zeroCopyUsable()) {
-        ZcSend zc;
-        zc.buf = std::move(out_.front());
-        out_.pop_front();
-        outBytes_ -= zc.buf.size();
-        zcUnsent_ += zc.buf.size();
-        zcPending_.push_back(std::move(zc));
-        if (!flushZcRemainder()) {
-          if (!closed_) {
-            updateInterest();
-          }
-          return;
-        }
+    for (const auto& seg : out_) {
+      if (cnt == iov.size()) {
+        break;
+      }
+      auto r = seg.readable();
+      if (r.empty()) {
         continue;
       }
-      std::array<iovec, kMaxIov> iov;
-      size_t cnt = 0;
-      for (const auto& seg : out_) {
-        if (cnt == iov.size()) {
-          break;
-        }
-        auto r = seg.readable();
-        if (r.empty()) {
-          continue;
-        }
-        if (cnt > 0 && r.size() >= kZeroCopyMin && zeroCopyUsable()) {
-          break;  // let the next pass promote this segment to zerocopy
-        }
-        iov[cnt].iov_base = const_cast<std::byte*>(r.data());
-        iov[cnt].iov_len = r.size();
-        attempted += r.size();
-        ++cnt;
-      }
-      n = sock_.writev(std::span<const iovec>(iov.data(), cnt), ec);
-    } else {
-      auto r = out_.front().readable();
-      attempted = r.size();
-      n = sock_.write(r, ec);
+      iov[cnt].iov_base = const_cast<std::byte*>(r.data());
+      iov[cnt].iov_len = r.size();
+      attempted += r.size();
+      ++cnt;
     }
+    std::error_code ec;
+    size_t n = sock_.writev(std::span<const iovec>(iov.data(), cnt), ec);
     if (ec) {
-      if (!wouldBlock(ec)) {
-        close(ec);
-        return;
-      }
-      break;
+      return ec;
     }
     consumeOut(n);
     if (n < attempted) {
       break;  // kernel buffer full (or injected short write): wait for kEvWrite
     }
   }
-  if (pendingOutput() == 0) {
+  return {};
+}
+
+void Connection::flushOut() {
+  std::error_code ec = writeQueued();
+  if (ec && !wouldBlock(ec)) {
+    close(ec);
+    return;
+  }
+  if (outBytes_ == 0) {
     if (drainCb_) {
       auto cb = drainCb_;  // same self-close hazard as dataCb_
       cb();
@@ -399,32 +263,12 @@ void Connection::send(std::span<const std::byte> bytes) {
   if (bytes.empty()) {
     return;
   }
-  if (vectoredIoEnabled()) {
-    // Deferred flush: queue now, gather-write once at the end of this
-    // loop iteration. No epoll_ctl round-trip when the flush drains
-    // synchronously — updateInterest() is a no-op while wantWrite_
-    // never flips.
-    appendOut(bytes);
-    scheduleFlush();
-    return;
-  }
-  // Legacy hot path (ZDR_NO_VECTORED_IO): one write() per send.
-  size_t written = 0;
-  if (outBytes_ == 0) {
-    std::error_code ec;
-    written = sock_.write(bytes, ec);
-    if (ec && ec != std::errc::operation_would_block &&
-        ec != std::errc::resource_unavailable_try_again) {
-      close(ec);
-      return;
-    }
-  }
-  if (written < bytes.size()) {
-    appendOut(bytes.subspan(written));
-    updateInterest();
-  } else if (closeOnDrain_ && outBytes_ == 0) {
-    close({});
-  }
+  // Deferred flush: queue now, gather-write once at the end of this
+  // loop iteration. No epoll_ctl round-trip when the flush drains
+  // synchronously — updateInterest() is a no-op while write interest
+  // never flips.
+  appendOut(bytes);
+  scheduleFlush();
 }
 
 void Connection::updateInterest() {
@@ -433,12 +277,11 @@ void Connection::updateInterest() {
   }
   // Read interest is masked while a relay pump waits on its sink
   // (level-triggered kEvRead would busy-loop otherwise); write interest
-  // covers queued bytes, a pinned zerocopy remainder, and a relay
-  // source waiting for this socket to become writable again.
+  // covers queued bytes and a relay source waiting for this socket to
+  // become writable again.
   uint32_t ev =
       (readPaused_ ? 0u : static_cast<uint32_t>(kEvRead)) |
-      ((pendingOutput() > 0 || relayKick_) ? static_cast<uint32_t>(kEvWrite)
-                                           : 0u);
+      ((outBytes_ > 0 || relayKick_) ? static_cast<uint32_t>(kEvWrite) : 0u);
   if (ev != interest_) {
     interest_ = ev;
     loop_.modifyFd(sock_.fd(), ev);
@@ -450,58 +293,13 @@ void Connection::close(std::error_code reason) {
     return;
   }
   closed_ = true;
-  // Best-effort final drain. The legacy path hands bytes to the kernel
-  // synchronously inside send(), so a close() arriving later in the
-  // same loop iteration cannot lose them; the deferred gather-write
-  // path must not demote that to silent loss when a close beats the
-  // end-of-iteration flush. Skip while a fault-injected delay owns the
-  // queue — those bytes are "in flight in the network", not ours.
-  if (!delayArmed_ && zcUnsent_ > 0 && sock_.valid()) {
-    // Unsent zerocopy remainder precedes out_; push it with plain
-    // writes (no point pinning pages on a dying socket).
-    std::error_code ec;
-    while (zcUnsent_ > 0 && !ec) {
-      ZcSend& zc = zcPending_.back();
-      auto rest = zc.buf.readable().subspan(zc.sent);
-      size_t n = sock_.write(rest, ec);
-      if (ec) {
-        break;
-      }
-      zc.sent += n;
-      zcUnsent_ -= n;
-      if (n < rest.size()) {
-        break;
-      }
-    }
-  }
-  if (!delayArmed_ && outBytes_ > 0 && sock_.valid()) {
-    std::error_code ec;
-    while (outBytes_ > 0 && !ec) {
-      std::array<iovec, kMaxIov> iov;
-      size_t cnt = 0;
-      size_t attempted = 0;
-      for (const auto& seg : out_) {
-        if (cnt == iov.size()) {
-          break;
-        }
-        auto r = seg.readable();
-        if (r.empty()) {
-          continue;
-        }
-        iov[cnt].iov_base = const_cast<std::byte*>(r.data());
-        iov[cnt].iov_len = r.size();
-        attempted += r.size();
-        ++cnt;
-      }
-      size_t n = sock_.writev(std::span<const iovec>(iov.data(), cnt), ec);
-      if (ec) {
-        break;  // broken or full socket: the bytes are lost either way
-      }
-      consumeOut(n);
-      if (n < attempted) {
-        break;
-      }
-    }
+  // Best-effort final drain: send() only queues, so a close() that beats
+  // the end-of-iteration flush must not demote those bytes to silent
+  // loss. A broken or full socket loses them either way. Skip while a
+  // fault-injected delay owns the queue — those bytes are "in flight in
+  // the network", not ours.
+  if (!delayArmed_) {
+    (void)writeQueued();
   }
   if (registered_ && sock_.valid()) {
     loop_.removeFd(sock_.fd());
@@ -518,11 +316,6 @@ void Connection::close(std::error_code reason) {
     fault::FaultRegistry::instance().onFdClosed(sock_.fd());
   }
   sock_.close();
-  // Pinned zerocopy buffers: the kernel holds page references, not
-  // vaddr references, so freeing the userspace memory here is safe
-  // even with completions still outstanding.
-  zcPending_.clear();
-  zcUnsent_ = 0;
   releaseRelayState();
   // Callbacks routinely capture shared_ptrs to the object that owns
   // this connection; dropping them here breaks the reference cycle the
@@ -545,7 +338,7 @@ uint64_t Connection::faultInjections() const noexcept {
 }
 
 void Connection::closeAfterFlush() {
-  if (pendingOutput() == 0 && !flushScheduled_) {
+  if (outBytes_ == 0 && !flushScheduled_) {
     close({});
   } else {
     closeOnDrain_ = true;

@@ -94,10 +94,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // True once start() registered the fd (pooled connections are handed
   // out already started).
   [[nodiscard]] bool started() const noexcept { return registered_; }
-  // Unsent bytes queued here, including a pinned zerocopy remainder.
-  [[nodiscard]] size_t pendingOutput() const noexcept {
-    return outBytes_ + zcUnsent_;
-  }
+  // Unsent bytes queued here.
+  [[nodiscard]] size_t pendingOutput() const noexcept { return outBytes_; }
   [[nodiscard]] int fd() const noexcept { return sock_.fd(); }
   [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
   [[nodiscard]] TcpSocket& socket() noexcept { return sock_; }
@@ -115,8 +113,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void updateInterest();
   void appendOut(std::span<const std::byte> bytes);
   void consumeOut(size_t n);
-  // Writes the queued segments to the kernel: one gather-write per pass
-  // in vectored mode, segment-at-a-time write() otherwise.
+  // Gather-writes queued segments (writev, up to kMaxIov per pass) until
+  // the queue empties or the kernel pushes back. Returns the failing
+  // write's error, EAGAIN included; shared by flushOut() and close().
+  std::error_code writeQueued();
+  // writeQueued(), then the drain/relay-kick/close-on-drain follow-ups
+  // and write-interest bookkeeping.
   void flushOut();
   // Defers one flushOut() to the end of the current loop iteration so
   // every send() issued while handling this iteration's events shares
@@ -131,11 +133,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void waitForSink(Connection& sink);
   void resumeRead();
   void releaseRelayState();
-
-  // Zerocopy send plumbing.
-  bool zeroCopyUsable();
-  bool flushZcRemainder();           // false ⇒ blocked or closed
-  void releaseCompletedZcSends(uint32_t completedThrough);
 
   EventLoop& loop_;
   TcpSocket sock_;
@@ -168,24 +165,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool readPaused_ = false;   // kEvRead masked while the sink is blocked
   bool relayKick_ = false;    // sink side: wake the source when writable
   bool relayEof_ = false;     // source hit EOF; pipe residue still due
-
-  // MSG_ZEROCOPY: segments handed to the kernel stay pinned (byte
-  // stable) in this queue until the errqueue completion covering their
-  // last sequence number arrives. Only the back entry may be partially
-  // sent; its remainder is flushed ahead of out_ to preserve order.
-  struct ZcSend {
-    Buffer buf;
-    size_t sent = 0;
-    uint32_t seqHi = 0;   // last seq this buffer's sends occupied
-    bool pinned = false;  // at least one send actually pinned pages
-  };
-  std::deque<ZcSend> zcPending_;
-  size_t zcUnsent_ = 0;        // unsent tail of zcPending_.back()
-  uint32_t zcNextSeq_ = 0;     // seq the kernel assigns to the next zc send
-  uint32_t zcCompletedThrough_ = 0;  // high-water mark (valid if zcAnyDone_)
-  bool zcAnyDone_ = false;
-  bool zcTried_ = false;
-  bool zcEnabled_ = false;     // SO_ZEROCOPY accepted on this socket
 };
 
 using ConnectionPtr = std::shared_ptr<Connection>;

@@ -129,8 +129,8 @@ FaultPlan::DgramFate FaultPlan::dgramFate(Op op, size_t len) {
   uint64_t idx = seq.fetch_add(1, std::memory_order_relaxed);
 
   // Exact element-indexed scripting first; the probabilistic draws run
-  // unconditionally after so the decision stream stays aligned between
-  // batched and fallback replays.
+  // unconditionally after so the decision stream stays aligned however
+  // the kernel slices the stream into batches.
   bool drop = contains(spec_.dropDatagramAt, idx);
   bool dup = contains(spec_.dupDatagramAt, idx);
   if (spec_.udpDropProb > 0 && unit() < spec_.udpDropProb) {

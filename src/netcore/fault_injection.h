@@ -91,8 +91,7 @@ struct FaultSpec {
   // exactly: 0-based indices into the per-direction stream of
   // datagrams this plan has seen (across batches), so "drop element 2,
   // duplicate element 4" is deterministic regardless of how the kernel
-  // slices the stream into batches — and identical under the
-  // ZDR_NO_BATCHED_UDP fallback.
+  // slices the stream into batches.
   std::vector<uint64_t> dropDatagramAt;
   std::vector<uint64_t> dupDatagramAt;
   std::vector<uint64_t> truncDatagramAt;
@@ -142,8 +141,8 @@ class FaultPlan {
 
   // Fate of one batch element of `len` bytes moving in direction `op`
   // (kSendTo or kRecvFrom). Draws exactly one drop + one dup decision
-  // (plus truncation) per element in stream order, so batched and
-  // fallback paths replay identically for a given seed/spec.
+  // (plus truncation) per element in stream order, so a given seed/spec
+  // replays identically whatever the batch boundaries.
   struct DgramFate {
     bool drop = false;
     bool dup = false;

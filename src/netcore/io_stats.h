@@ -1,9 +1,10 @@
-// Process-wide socket I/O counters and the vectored-I/O kill switch.
+// Process-wide socket I/O counters, the splice-relay kill switch and
+// the I/O backend choice.
 //
-// The counters exist so the throughput bench can report write syscalls
-// per request (the number the writev coalescing is supposed to shrink)
-// without strace. They are plain relaxed atomics: cheap enough to leave
-// on unconditionally, precise enough for before/after ratios.
+// The counters exist so the benches can report syscalls and copied
+// bytes per request without strace. They are plain relaxed atomics:
+// cheap enough to leave on unconditionally, precise enough for
+// before/after ratios.
 #pragma once
 
 #include <atomic>
@@ -22,10 +23,10 @@ struct IoStats {
   std::atomic<uint64_t> bytesRead{0};
   std::atomic<uint64_t> bytesWritten{0};
 
-  // Datagram plane. "Scalar" counts recvfrom/sendto calls (including
-  // the ZDR_NO_BATCHED_UDP fallback loops), "batch" counts
-  // recvmmsg/sendmmsg calls; udpDatagrams is datagrams actually moved
-  // either way, so syscalls-per-datagram falls out of these three.
+  // Datagram plane. "Scalar" counts the single-datagram recvfrom/sendto
+  // calls (UdpSocket::recvFrom/sendTo), "batch" counts recvmmsg/sendmmsg
+  // calls; udpDatagrams is datagrams actually moved either way, so
+  // syscalls-per-datagram falls out of these three.
   std::atomic<uint64_t> udpScalarSyscalls{0};
   std::atomic<uint64_t> udpBatchSyscalls{0};
   std::atomic<uint64_t> udpDatagrams{0};
@@ -35,22 +36,10 @@ struct IoStats {
   // Reduced-copy relay plane. bytesRead/bytesWritten above already
   // count every byte that crossed userspace; spliceBytes counts bytes
   // that moved socket→pipe→socket entirely in-kernel (never touching a
-  // userspace Buffer), and zcBytesSent counts bytes handed to the
-  // kernel with MSG_ZEROCOPY (pinned, not memcpy'd into skbs — unless
-  // the completion comes back "copied", which zcCopiedCompletions
-  // tracks). copy-bytes/req = (bytesRead + bytesWritten) / requests.
+  // userspace Buffer). copy-bytes/req = (bytesRead + bytesWritten) /
+  // requests.
   std::atomic<uint64_t> spliceCalls{0};
   std::atomic<uint64_t> spliceBytes{0};
-  std::atomic<uint64_t> zcSendCalls{0};
-  std::atomic<uint64_t> zcBytesSent{0};
-  std::atomic<uint64_t> zcCompletions{0};
-  // Completions flagged SO_EE_CODE_ZEROCOPY_COPIED: the kernel fell
-  // back to copying (loopback always does). The send still worked;
-  // this only means the pin bought nothing for those bytes.
-  std::atomic<uint64_t> zcCopiedCompletions{0};
-  // MSG_ZEROCOPY sends that failed (ENOBUFS etc.) and were retried as
-  // plain sends.
-  std::atomic<uint64_t> zcFallbacks{0};
   // Relay pipe pool: pipe2() pairs created vs handed back out of the
   // per-thread free list.
   std::atomic<uint64_t> pipePoolCreated{0};
@@ -69,11 +58,6 @@ struct IoStats {
     udpDatagramsPerSyscall.reset();
     spliceCalls = 0;
     spliceBytes = 0;
-    zcSendCalls = 0;
-    zcBytesSent = 0;
-    zcCompletions = 0;
-    zcCopiedCompletions = 0;
-    zcFallbacks = 0;
     pipePoolCreated = 0;
     pipePoolReused = 0;
   }
@@ -104,23 +88,9 @@ inline IoStats& ioStats() noexcept {
 }
 
 namespace detail {
-inline std::atomic<bool>& batchedUdpFlag() noexcept {
-  static std::atomic<bool> enabled{std::getenv("ZDR_NO_BATCHED_UDP") ==
-                                   nullptr};
-  return enabled;
-}
-inline std::atomic<bool>& vectoredIoFlag() noexcept {
-  static std::atomic<bool> enabled{std::getenv("ZDR_NO_VECTORED_IO") ==
-                                   nullptr};
-  return enabled;
-}
 inline std::atomic<bool>& spliceRelayFlag() noexcept {
   static std::atomic<bool> enabled{std::getenv("ZDR_NO_SPLICE_RELAY") ==
                                    nullptr};
-  return enabled;
-}
-inline std::atomic<bool>& zeroCopyFlag() noexcept {
-  static std::atomic<bool> enabled{std::getenv("ZDR_NO_ZEROCOPY") == nullptr};
   return enabled;
 }
 inline std::atomic<int>& ioBackendFlag() noexcept {
@@ -137,29 +107,6 @@ inline std::atomic<int>& ioBackendFlag() noexcept {
 }
 }  // namespace detail
 
-// When false (ZDR_NO_VECTORED_IO=1, or setVectoredIoEnabled(false)),
-// Connection falls back to the legacy one-write()-per-send hot path.
-// The bench flips this between runs to measure the same binary both
-// ways.
-inline bool vectoredIoEnabled() noexcept {
-  return detail::vectoredIoFlag().load(std::memory_order_relaxed);
-}
-inline void setVectoredIoEnabled(bool on) noexcept {
-  detail::vectoredIoFlag().store(on, std::memory_order_relaxed);
-}
-
-// When false (ZDR_NO_BATCHED_UDP=1, or setBatchedUdpEnabled(false)),
-// UdpSocket::recvMany/sendMany degrade to one recvfrom/sendto per
-// datagram — same batch semantics (including per-datagram fault
-// injection), one syscall per element. The bench flips this between
-// runs to measure the same binary both ways.
-inline bool batchedUdpEnabled() noexcept {
-  return detail::batchedUdpFlag().load(std::memory_order_relaxed);
-}
-inline void setBatchedUdpEnabled(bool on) noexcept {
-  detail::batchedUdpFlag().store(on, std::memory_order_relaxed);
-}
-
 // When false (ZDR_NO_SPLICE_RELAY=1, or setSpliceRelayEnabled(false)),
 // Connection relay mode pumps bytes through a userspace buffer (read →
 // send) instead of socket→pipe→socket splice(2). Byte-identical
@@ -170,22 +117,6 @@ inline bool spliceRelayEnabled() noexcept {
 inline void setSpliceRelayEnabled(bool on) noexcept {
   detail::spliceRelayFlag().store(on, std::memory_order_relaxed);
 }
-
-// When false (ZDR_NO_ZEROCOPY=1, or setZeroCopyEnabled(false)), large
-// sends use the plain copying sendmsg path. Independently of the
-// switch, zerocopy is skipped when the kernel lacks SO_ZEROCOPY (see
-// zeroCopySupported()).
-inline bool zeroCopyEnabled() noexcept {
-  return detail::zeroCopyFlag().load(std::memory_order_relaxed);
-}
-inline void setZeroCopyEnabled(bool on) noexcept {
-  detail::zeroCopyFlag().store(on, std::memory_order_relaxed);
-}
-
-// One-time startup capability probe: true iff the kernel accepts
-// SO_ZEROCOPY on a TCP socket. Logs once to stderr when missing so
-// bench runs can tell which mode actually ran. Defined in socket.cpp.
-[[nodiscard]] bool zeroCopySupported() noexcept;
 
 // Requested EventLoop I/O backend (ZDR_IO_BACKEND=epoll|io_uring).
 // epoll is the default; an io_uring request degrades to epoll with one

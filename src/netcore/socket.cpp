@@ -5,7 +5,6 @@
 #include "netcore/fault_injection.h"
 #include "netcore/io_stats.h"
 #include "netcore/udp_batch.h"
-#include <linux/errqueue.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/types.h>
@@ -13,7 +12,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstring>
 
 namespace zdr {
@@ -259,133 +257,6 @@ size_t TcpSocket::spliceOut(int pipeRd, size_t max, std::error_code& ec) {
   return n;
 }
 
-bool TcpSocket::enableZeroCopy() noexcept {
-#ifdef SO_ZEROCOPY
-  int one = 1;
-  return ::setsockopt(fd_.get(), SOL_SOCKET, SO_ZEROCOPY, &one,
-                      sizeof(one)) == 0;
-#else
-  return false;
-#endif
-}
-
-size_t TcpSocket::sendZeroCopy(std::span<const std::byte> buf, bool& pinned,
-                               std::error_code& ec) {
-  pinned = false;
-  if (detail::faultErr(fd_.get(), fault::Op::kWrite, ec)) {
-    return 0;
-  }
-  size_t len = buf.size();
-  if (detail::faultWriteFate(fd_.get(), len, ec)) {
-    return 0;
-  }
-#ifdef MSG_ZEROCOPY
-  ioStats().zcSendCalls.fetch_add(1, std::memory_order_relaxed);
-  ssize_t r = ::send(fd_.get(), buf.data(), len,
-                     MSG_ZEROCOPY | MSG_NOSIGNAL);
-  if (r >= 0) {
-    size_t n = static_cast<size_t>(r);
-    // The kernel pins the pages but the bytes still count as written
-    // for throughput accounting; zcBytesSent separates out how many
-    // skipped the userspace-copy-into-skb.
-    ioStats().bytesWritten.fetch_add(n, std::memory_order_relaxed);
-    ioStats().zcBytesSent.fetch_add(n, std::memory_order_relaxed);
-    pinned = n > 0;  // seq advanced iff bytes were accepted
-    ec.clear();
-    return n;
-  }
-  if (errno != ENOBUFS) {
-    ec = errnoCode();
-    return 0;
-  }
-  // ENOBUFS: optmem limit or missing SO_ZEROCOPY — retry as a plain
-  // copying send so callers never see a zerocopy-specific failure.
-  ioStats().zcFallbacks.fetch_add(1, std::memory_order_relaxed);
-#endif
-  ioStats().writeCalls.fetch_add(1, std::memory_order_relaxed);
-  size_t n = detail::ioResult(
-      ::send(fd_.get(), buf.data(), len, MSG_NOSIGNAL), ec);
-  ioStats().bytesWritten.fetch_add(n, std::memory_order_relaxed);
-  return n;
-}
-
-ZeroCopyReap reapZeroCopyCompletions(int fd) noexcept {
-  ZeroCopyReap reap;
-#ifdef MSG_ZEROCOPY
-  for (;;) {
-    char control[128];
-    msghdr msg{};
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-    ssize_t r = ::recvmsg(fd, &msg, MSG_ERRQUEUE);
-    if (r < 0) {
-      break;  // EAGAIN: queue drained
-    }
-    bool sawZc = false;
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-         cm = CMSG_NXTHDR(&msg, cm)) {
-      if ((cm->cmsg_level != SOL_IP || cm->cmsg_type != IP_RECVERR) &&
-          (cm->cmsg_level != SOL_IPV6 || cm->cmsg_type != IPV6_RECVERR)) {
-        continue;
-      }
-      sock_extended_err serr;
-      std::memcpy(&serr, CMSG_DATA(cm), sizeof(serr));
-      if (serr.ee_origin != SO_EE_ORIGIN_ZEROCOPY) {
-        reap.fatal = true;
-        continue;
-      }
-      sawZc = true;
-      // [ee_info, ee_data] is the inclusive completed seq range.
-      uint32_t lo = serr.ee_info;
-      uint32_t hi = serr.ee_data;
-      uint64_t count = static_cast<uint64_t>(hi) - lo + 1;
-      ioStats().zcCompletions.fetch_add(count, std::memory_order_relaxed);
-      if (serr.ee_code & SO_EE_CODE_ZEROCOPY_COPIED) {
-        ioStats().zcCopiedCompletions.fetch_add(count,
-                                                std::memory_order_relaxed);
-      }
-      if (!reap.any || hi > reap.highestSeq) {
-        reap.highestSeq = hi;
-      }
-      reap.any = true;
-    }
-    if (!sawZc && r == 0 && msg.msg_controllen == 0) {
-      break;  // nothing decodable, avoid spinning
-    }
-  }
-#else
-  (void)fd;
-#endif
-  return reap;
-}
-
-bool zeroCopySupported() noexcept {
-  static const bool supported = [] {
-#ifdef SO_ZEROCOPY
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      return false;
-    }
-    int one = 1;
-    bool ok = ::setsockopt(fd, SOL_SOCKET, SO_ZEROCOPY, &one,
-                           sizeof(one)) == 0;
-    ::close(fd);
-    if (!ok) {
-      std::fprintf(stderr,
-                   "zdr: kernel lacks SO_ZEROCOPY; large sends will use "
-                   "the copying path\n");
-    }
-    return ok;
-#else
-    std::fprintf(stderr,
-                 "zdr: built without MSG_ZEROCOPY support; large sends "
-                 "will use the copying path\n");
-    return false;
-#endif
-  }();
-  return supported;
-}
-
 std::error_code TcpSocket::connectError() const {
   int err = detail::getSoError(fd_.get());
   return {err, std::generic_category()};
@@ -479,13 +350,20 @@ size_t UdpSocket::sendTo(std::span<const std::byte> buf,
     }
   }
   sockaddr_in sa = peer.raw();
+  ioStats().udpScalarSyscalls.fetch_add(1, std::memory_order_relaxed);
   size_t n = detail::ioResult(
       ::sendto(fd_.get(), buf.data(), buf.size(), 0,
                reinterpret_cast<sockaddr*>(&sa), sizeof(sa)),
       ec);
+  if (!ec) {
+    ioStats().udpDatagrams.fetch_add(1, std::memory_order_relaxed);
+  }
   for (; dupes > 0 && !ec; --dupes) {
-    ::sendto(fd_.get(), buf.data(), buf.size(), 0,
-             reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
+    ioStats().udpScalarSyscalls.fetch_add(1, std::memory_order_relaxed);
+    if (::sendto(fd_.get(), buf.data(), buf.size(), 0,
+                 reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) >= 0) {
+      ioStats().udpDatagrams.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return n;
 }
@@ -497,11 +375,13 @@ size_t UdpSocket::recvFrom(std::span<std::byte> buf, SocketAddr& from,
   }
   sockaddr_in sa{};
   socklen_t len = sizeof(sa);
+  ioStats().udpScalarSyscalls.fetch_add(1, std::memory_order_relaxed);
   size_t n = detail::ioResult(
       ::recvfrom(fd_.get(), buf.data(), buf.size(), 0,
                  reinterpret_cast<sockaddr*>(&sa), &len),
       ec);
   if (!ec) {
+    ioStats().udpDatagrams.fetch_add(1, std::memory_order_relaxed);
     from = SocketAddr(sa);
     if (fault::active()) {
       auto plan = fault::FaultRegistry::instance().planFor(fd_.get());
@@ -525,61 +405,32 @@ size_t UdpSocket::recvMany(RecvBatch& batch, std::error_code& ec) {
     plan = fault::FaultRegistry::instance().planFor(fd_.get());
   }
   const size_t maxB = batch.maxBatch();
-  size_t got = 0;
-  if (batchedUdpEnabled()) {
-    for (size_t i = 0; i < maxB; ++i) {
-      if (!batch.bufs_[i].valid()) {
-        batch.bufs_[i] = batch.pool_->acquire();
-      }
-      iovec& iv = batch.iovs_[i];
-      iv.iov_base = batch.bufs_[i].data();
-      iv.iov_len = batch.bufs_[i].size();
-      mmsghdr& h = batch.hdrs_[i];
-      std::memset(&h, 0, sizeof(h));
-      h.msg_hdr.msg_iov = &iv;
-      h.msg_hdr.msg_iovlen = 1;
-      h.msg_hdr.msg_name = &batch.raw_[i];
-      h.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  for (size_t i = 0; i < maxB; ++i) {
+    if (!batch.bufs_[i].valid()) {
+      batch.bufs_[i] = batch.pool_->acquire();
     }
-    ioStats().udpBatchSyscalls.fetch_add(1, std::memory_order_relaxed);
-    int n = ::recvmmsg(fd_.get(), batch.hdrs_.data(),
-                       static_cast<unsigned>(maxB), 0, nullptr);
-    if (n < 0) {
-      ec = errnoCode();
-      return 0;
-    }
-    ec.clear();
-    got = static_cast<size_t>(n);
-    ioStats().udpDatagrams.fetch_add(got, std::memory_order_relaxed);
-    ioStats().udpDatagramsPerSyscall.record(static_cast<double>(got));
-  } else {
-    // Fallback: same batch semantics, one recvfrom(2) per element.
-    while (got < maxB) {
-      if (!batch.bufs_[got].valid()) {
-        batch.bufs_[got] = batch.pool_->acquire();
-      }
-      sockaddr_in sa{};
-      socklen_t len = sizeof(sa);
-      std::span<std::byte> b = batch.bufs_[got].span();
-      ioStats().udpScalarSyscalls.fetch_add(1, std::memory_order_relaxed);
-      ssize_t n = ::recvfrom(fd_.get(), b.data(), b.size(), 0,
-                             reinterpret_cast<sockaddr*>(&sa), &len);
-      if (n < 0) {
-        if (got == 0) {
-          ec = errnoCode();
-          return 0;
-        }
-        break;
-      }
-      batch.raw_[got] = sa;
-      batch.hdrs_[got].msg_len = static_cast<unsigned>(n);
-      ++got;
-    }
-    ec.clear();
-    ioStats().udpDatagrams.fetch_add(got, std::memory_order_relaxed);
+    iovec& iv = batch.iovs_[i];
+    iv.iov_base = batch.bufs_[i].data();
+    iv.iov_len = batch.bufs_[i].size();
+    mmsghdr& h = batch.hdrs_[i];
+    std::memset(&h, 0, sizeof(h));
+    h.msg_hdr.msg_iov = &iv;
+    h.msg_hdr.msg_iovlen = 1;
+    h.msg_hdr.msg_name = &batch.raw_[i];
+    h.msg_hdr.msg_namelen = sizeof(sockaddr_in);
   }
-  // Per-element fates, applied in stream order — identical decision
-  // sequence in batched and fallback modes.
+  ioStats().udpBatchSyscalls.fetch_add(1, std::memory_order_relaxed);
+  int n = ::recvmmsg(fd_.get(), batch.hdrs_.data(),
+                     static_cast<unsigned>(maxB), 0, nullptr);
+  if (n < 0) {
+    ec = errnoCode();
+    return 0;
+  }
+  ec.clear();
+  const auto got = static_cast<size_t>(n);
+  ioStats().udpDatagrams.fetch_add(got, std::memory_order_relaxed);
+  ioStats().udpDatagramsPerSyscall.record(static_cast<double>(got));
+  // Per-element fates, applied in stream order.
   for (size_t i = 0; i < got; ++i) {
     size_t len = batch.hdrs_[i].msg_len;
     if (plan) {
@@ -645,33 +496,18 @@ size_t UdpSocket::sendMany(SendBatch& batch, std::error_code& ec) {
   }
   const size_t wire = batch.hdrs_.size();
   size_t off = 0;
-  if (batchedUdpEnabled()) {
-    while (off < wire) {
-      ioStats().udpBatchSyscalls.fetch_add(1, std::memory_order_relaxed);
-      int n = ::sendmmsg(fd_.get(), batch.hdrs_.data() + off,
-                         static_cast<unsigned>(wire - off), 0);
-      if (n < 0) {
-        ec = errnoCode();
-        break;
-      }
-      ioStats().udpDatagrams.fetch_add(static_cast<uint64_t>(n),
-                                       std::memory_order_relaxed);
-      ioStats().udpDatagramsPerSyscall.record(static_cast<double>(n));
-      off += static_cast<size_t>(n);
+  while (off < wire) {
+    ioStats().udpBatchSyscalls.fetch_add(1, std::memory_order_relaxed);
+    int n = ::sendmmsg(fd_.get(), batch.hdrs_.data() + off,
+                       static_cast<unsigned>(wire - off), 0);
+    if (n < 0) {
+      ec = errnoCode();
+      break;
     }
-  } else {
-    for (; off < wire; ++off) {
-      const msghdr& m = batch.hdrs_[off].msg_hdr;
-      ioStats().udpScalarSyscalls.fetch_add(1, std::memory_order_relaxed);
-      ssize_t n = ::sendto(fd_.get(), m.msg_iov->iov_base, m.msg_iov->iov_len,
-                           0, static_cast<const sockaddr*>(m.msg_name),
-                           m.msg_namelen);
-      if (n < 0) {
-        ec = errnoCode();
-        break;
-      }
-      ioStats().udpDatagrams.fetch_add(1, std::memory_order_relaxed);
-    }
+    ioStats().udpDatagrams.fetch_add(static_cast<uint64_t>(n),
+                                     std::memory_order_relaxed);
+    ioStats().udpDatagramsPerSyscall.record(static_cast<double>(n));
+    off += static_cast<size_t>(n);
   }
   batch.clear();
   return ec ? off : staged;

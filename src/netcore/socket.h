@@ -77,18 +77,6 @@ class TcpSocket {
   size_t spliceIn(int pipeWr, size_t max, std::error_code& ec);   // socket→pipe
   size_t spliceOut(int pipeRd, size_t max, std::error_code& ec);  // pipe→socket
 
-  // SO_ZEROCOPY opt-in; false when the kernel refuses (old kernel).
-  bool enableZeroCopy() noexcept;
-  // MSG_ZEROCOPY send. On success with `pinned` set true the kernel
-  // holds references into `buf`: the caller must keep the memory
-  // byte-stable until the errqueue completion for this send's sequence
-  // number arrives (one seq per successful >0-byte send, starting at 0
-  // after enableZeroCopy). When the kernel rejects the zerocopy send
-  // (ENOBUFS), falls back to a plain copying send in the same call and
-  // reports pinned=false.
-  size_t sendZeroCopy(std::span<const std::byte> buf, bool& pinned,
-                      std::error_code& ec);
-
   [[nodiscard]] std::error_code connectError() const;
   void shutdownWrite() noexcept;
   void setNoDelay(bool enabled);
@@ -102,20 +90,6 @@ class TcpSocket {
   explicit TcpSocket(FdGuard fd) : fd_(std::move(fd)) {}
   FdGuard fd_;
 };
-
-// Result of draining a socket's error queue of MSG_ZEROCOPY completion
-// notifications. Completions are reported as inclusive seq ranges; the
-// kernel delivers them in order for TCP, so a high-water mark suffices.
-struct ZeroCopyReap {
-  bool any = false;         // at least one completion drained
-  uint32_t highestSeq = 0;  // highest completed sequence (valid iff any)
-  bool fatal = false;       // errqueue held a non-zerocopy error
-};
-
-// Drains MSG_ERRQUEUE on `fd`. Must run on kEvError *before* treating
-// the event as fatal: zerocopy completions arrive via the error queue
-// with SO_ERROR still 0. Bumps zcCompletions / zcCopiedCompletions.
-ZeroCopyReap reapZeroCopyCompletions(int fd) noexcept;
 
 // A listening TCP socket.
 class TcpListener {
@@ -165,16 +139,15 @@ class UdpSocket {
                   std::error_code& ec);
 
   // Batched datagram plane (see udp_batch.h). recvMany fills `batch`
-  // with up to batch.maxBatch() datagrams in one recvmmsg(2) — or a
-  // scalar recvfrom loop under ZDR_NO_BATCHED_UDP — applies per-element
-  // fault fates (drop/duplicate/truncate), and returns the surviving
-  // count. ec is set when the kernel had nothing (EAGAIN) or errored; a
+  // with up to batch.maxBatch() datagrams in one recvmmsg(2), applies
+  // per-element fault fates (drop/duplicate/truncate), and returns the
+  // surviving count. ec is set when the kernel had nothing (EAGAIN) or errored; a
   // return of 0 with ec clear means data arrived but every element was
   // dropped by fault injection, so level-triggered callers keep
   // draining on `!ec`.
   size_t recvMany(RecvBatch& batch, std::error_code& ec);
-  // Flushes every staged datagram in one sendmmsg(2) (scalar sendto
-  // loop under ZDR_NO_BATCHED_UDP) and clears the batch. Returns the
+  // Flushes every staged datagram in one sendmmsg(2) and clears the
+  // batch. Returns the
   // number of staged datagrams handed to the kernel — an element
   // dropped by fault injection still counts as sent, matching sendTo.
   // On error, returns the wire datagrams out before the failure.

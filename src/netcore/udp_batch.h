@@ -11,8 +11,7 @@
 //    iovec, sockaddr_in arrays) sized once at construction, so a
 //    wakeup that moves N datagrams touches the allocator zero times;
 //  * datagram buffers come from a per-worker BufferPool free list;
-//  * UdpSocket::recvMany/sendMany move a whole batch per syscall
-//    (graceful per-datagram fallback when ZDR_NO_BATCHED_UDP is set).
+//  * UdpSocket::recvMany/sendMany move a whole batch per syscall.
 //
 // Like the pool, batches are loop-confined: one per consumer, reused
 // across wakeups, never shared between threads.

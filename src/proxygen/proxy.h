@@ -150,9 +150,9 @@ class Proxy {
 
     // --- reduced-copy relay fast path ---
     // Upstream responses whose body is at least this large stream
-    // straight from trunk DATA frames to the user connection (where
-    // big segments become MSG_ZEROCOPY-eligible) instead of being
-    // re-buffered whole and serialized again. 0 disables streaming.
+    // straight from trunk DATA frames to the user connection instead
+    // of being re-buffered whole and serialized again. 0 disables
+    // streaming.
     size_t relayThresholdBytes = 64 * 1024;
     // MQTT tunnels ride dedicated pass-through TCP connections between
     // Edge and Origin (a "ZDRTUN" preface on the trunk port) instead

@@ -186,7 +186,6 @@ TEST(ChaosRelayTest, RollingZdrOverLiveSplicedTunnelsZeroDisruption) {
 
 TEST(ChaosRelayTest, RollingZdrWithSpliceKillSwitchStillZeroDisruption) {
   setSpliceRelayEnabled(false);
-  setZeroCopyEnabled(false);
   {
     TestbedOptions opts;
     opts.edges = 1;
@@ -225,7 +224,6 @@ TEST(ChaosRelayTest, RollingZdrWithSpliceKillSwitchStillZeroDisruption) {
     fleet.stop();
   }
   setSpliceRelayEnabled(true);
-  setZeroCopyEnabled(true);
 }
 
 }  // namespace

@@ -5,14 +5,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "netcore/buffer.h"
+#include "netcore/connection.h"
+#include "netcore/event_loop.h"
 #include "netcore/fault_injection.h"
 #include "netcore/fd_guard.h"
+#include "netcore/io_stats.h"
 #include "netcore/result.h"
 #include "netcore/socket.h"
 #include "netcore/socket_addr.h"
@@ -249,6 +254,85 @@ TEST(SocketTest, SocketPairBidirectional) {
   a.write(std::as_bytes(std::span(msg.data(), msg.size())), ec);
   std::array<std::byte, 4> buf;
   EXPECT_EQ(b.read(buf, ec), 1u);
+}
+
+// ----------------------------------------------------------- Connection
+
+// send() only queues; the gather-write runs at the end of the loop
+// iteration. A close() earlier in that same iteration must push the
+// whole queue — a segment past the merge cap, then a burst of small
+// sends merged behind it — through the shared gather helper, in order.
+TEST(ConnectionTest, CloseDrainsLargeSegmentAndBurstInOrder) {
+  TcpListener listener(SocketAddr::loopback(0));
+  std::error_code ec;
+  TcpSocket clientSock = TcpSocket::connect(listener.localAddr(), ec);
+  ASSERT_FALSE(ec);
+  pollfd out{clientSock.fd(), POLLOUT, 0};
+  ASSERT_EQ(::poll(&out, 1, 2000), 1);
+  std::optional<TcpSocket> peer;
+  for (int i = 0; i < 2000 && !peer; ++i) {
+    peer = listener.accept(ec);
+    if (!peer) {
+      usleep(1000);
+    }
+  }
+  ASSERT_TRUE(peer.has_value());
+
+  // 40 KiB + 64 x 64 B = 44 KiB: under the loopback send buffer, so
+  // the one best-effort drain in close() can hand over every byte.
+  std::string big(40 * 1024, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('A' + i % 23);
+  }
+  std::string expected = big;
+  std::vector<std::string> burst;
+  for (int i = 0; i < 64; ++i) {
+    burst.emplace_back(64, static_cast<char>('a' + i % 26));
+    burst.back()[0] = static_cast<char>('0' + i % 10);
+    expected += burst.back();
+  }
+
+  EventLoopThread t;
+  std::error_code closeReason{std::make_error_code(std::errc::io_error)};
+  bool closed = false;
+  uint64_t writevBefore = ioStats().writevCalls.load();
+  uint64_t writeBefore = ioStats().writeCalls.load();
+  t.runSync([&] {
+    auto conn = Connection::make(t.loop(), std::move(clientSock));
+    conn->setCloseCallback([&](std::error_code why) {
+      closed = true;
+      closeReason = why;
+    });
+    conn->start();
+    conn->send(std::string_view(big));
+    for (const auto& s : burst) {
+      conn->send(std::string_view(s));
+    }
+    EXPECT_EQ(conn->pendingOutput(), expected.size());  // nothing written yet
+    conn->close();
+  });
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(closeReason);
+  EXPECT_GT(ioStats().writevCalls.load(), writevBefore);
+  EXPECT_EQ(ioStats().writeCalls.load(), writeBefore);
+
+  // Read to EOF: every byte, in send order, then the FIN.
+  std::string got;
+  std::array<std::byte, 16384> buf;
+  for (int spins = 0; spins < 2000; ++spins) {
+    size_t n = peer->read(buf, ec);
+    if (!ec && n == 0) {
+      break;  // EOF
+    }
+    if (ec) {
+      pollfd in{peer->fd(), POLLIN, 0};
+      ::poll(&in, 1, 5);
+      continue;
+    }
+    got.append(reinterpret_cast<const char*>(buf.data()), n);
+  }
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected);
 }
 
 // ------------------------------------------------------ fault injection

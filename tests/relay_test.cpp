@@ -219,13 +219,6 @@ TEST(SpliceRelayTest, KillSwitchCopyPumpIsByteIdentical) {
   setSpliceRelayEnabled(true);
 }
 
-TEST(SpliceRelayTest, ZeroCopyProbeIsStableAndSendsWork) {
-  // The probe must be consistent across calls (one-time, cached).
-  bool s1 = zeroCopySupported();
-  bool s2 = zeroCopySupported();
-  EXPECT_EQ(s1, s2);
-}
-
 // ------------------------------------------- Edge streamed-response relay
 
 constexpr size_t kBigBody = 512 * 1024;

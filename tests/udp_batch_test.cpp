@@ -1,8 +1,6 @@
-// Batched datagram plane: BufferPool accounting, recvMany/sendMany
-// roundtrips, and datagram-granular fault injection inside batches —
-// exercised under both the recvmmsg/sendmmsg path and the
-// ZDR_NO_BATCHED_UDP scalar fallback (same semantics, one syscall per
-// element).
+// Batched datagram plane: BufferPool accounting, recvmmsg/sendmmsg
+// roundtrips through recvMany/sendMany, datagram-granular fault
+// injection inside batches, and the syscall ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,27 +23,6 @@ std::span<const std::byte> bytes(const std::string& s) {
 std::string str(std::span<const std::byte> b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
-
-// Runs the test body under batched mode and again under the scalar
-// fallback, restoring the flag afterwards.
-class BothModes {
- public:
-  template <typename Fn>
-  static void run(Fn&& fn) {
-    bool prev = batchedUdpEnabled();
-    setBatchedUdpEnabled(true);
-    {
-      SCOPED_TRACE("batched");
-      fn();
-    }
-    setBatchedUdpEnabled(false);
-    {
-      SCOPED_TRACE("fallback");
-      fn();
-    }
-    setBatchedUdpEnabled(prev);
-  }
-};
 
 TEST(BufferPoolTest, FreeListRecyclesAndCounts) {
   BufferPool pool(512, 2);
@@ -94,64 +71,60 @@ TEST(BufferPoolTest, OversizeHonouredButNeverFreeListed) {
 }
 
 TEST(UdpBatchTest, RecvManyRoundtrip) {
-  BothModes::run([] {
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    std::error_code ec;
-    for (int i = 0; i < 5; ++i) {
-      sender.sendTo(bytes("dgram" + std::to_string(i)),
-                    receiver.localAddr(), ec);
-      ASSERT_FALSE(ec);
-    }
-    BufferPool pool;
-    RecvBatch batch(pool);
-    std::vector<std::string> got;
-    for (int spin = 0; spin < 500 && got.size() < 5; ++spin) {
-      receiver.recvMany(batch, ec);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got.push_back(str(batch.data(i)));
-        EXPECT_EQ(batch.from(i).port(), sender.localAddr().port());
-      }
-    }
-    ASSERT_EQ(got.size(), 5u);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(got[static_cast<size_t>(i)], "dgram" + std::to_string(i));
-    }
-    // Drained: ec reports would-block, batch empty.
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  std::error_code ec;
+  for (int i = 0; i < 5; ++i) {
+    sender.sendTo(bytes("dgram" + std::to_string(i)),
+                  receiver.localAddr(), ec);
+    ASSERT_FALSE(ec);
+  }
+  BufferPool pool;
+  RecvBatch batch(pool);
+  std::vector<std::string> got;
+  for (int spin = 0; spin < 500 && got.size() < 5; ++spin) {
     receiver.recvMany(batch, ec);
-    EXPECT_TRUE(ec);
-    EXPECT_EQ(batch.size(), 0u);
-  });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got.push_back(str(batch.data(i)));
+      EXPECT_EQ(batch.from(i).port(), sender.localAddr().port());
+    }
+  }
+  ASSERT_EQ(got.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(got[static_cast<size_t>(i)], "dgram" + std::to_string(i));
+  }
+  // Drained: ec reports would-block, batch empty.
+  receiver.recvMany(batch, ec);
+  EXPECT_TRUE(ec);
+  EXPECT_EQ(batch.size(), 0u);
 }
 
 TEST(UdpBatchTest, SendManyRoundtrip) {
-  BothModes::run([] {
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    BufferPool pool;
-    SendBatch batch(pool);
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(
-          batch.push(bytes("out" + std::to_string(i)), receiver.localAddr()));
-    }
-    std::error_code ec;
-    EXPECT_EQ(sender.sendMany(batch, ec), 4u);
-    EXPECT_FALSE(ec);
-    EXPECT_TRUE(batch.empty());  // flushed batches reset for reuse
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  BufferPool pool;
+  SendBatch batch(pool);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        batch.push(bytes("out" + std::to_string(i)), receiver.localAddr()));
+  }
+  std::error_code ec;
+  EXPECT_EQ(sender.sendMany(batch, ec), 4u);
+  EXPECT_FALSE(ec);
+  EXPECT_TRUE(batch.empty());  // flushed batches reset for reuse
 
-    RecvBatch rx(pool);
-    std::vector<std::string> got;
-    for (int spin = 0; spin < 500 && got.size() < 4; ++spin) {
-      receiver.recvMany(rx, ec);
-      for (size_t i = 0; i < rx.size(); ++i) {
-        got.push_back(str(rx.data(i)));
-      }
+  RecvBatch rx(pool);
+  std::vector<std::string> got;
+  for (int spin = 0; spin < 500 && got.size() < 4; ++spin) {
+    receiver.recvMany(rx, ec);
+    for (size_t i = 0; i < rx.size(); ++i) {
+      got.push_back(str(rx.data(i)));
     }
-    ASSERT_EQ(got.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(got[static_cast<size_t>(i)], "out" + std::to_string(i));
-    }
-  });
+  }
+  ASSERT_EQ(got.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got[static_cast<size_t>(i)], "out" + std::to_string(i));
+  }
 }
 
 TEST(UdpBatchTest, StageCommitEncodesInPlace) {
@@ -190,130 +163,117 @@ TEST(UdpBatchTest, SendBatchRejectsPushWhenFull) {
 }
 
 TEST(UdpBatchTest, RecvManyReusesPooledBuffers) {
-  // Buffer acquisition patterns differ between modes (the batched path
-  // pins maxBatch buffers up front); pin batched mode so the counts
-  // below are exact even under a ZDR_NO_BATCHED_UDP test run.
-  bool prev = batchedUdpEnabled();
-  setBatchedUdpEnabled(true);
-  {
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    BufferPool pool;
-    RecvBatch batch(pool, 4);
-    std::error_code ec;
-    for (int round = 0; round < 3; ++round) {
-      sender.sendTo(bytes("x"), receiver.localAddr(), ec);
-      size_t got = 0;
-      for (int spin = 0; spin < 500 && got == 0; ++spin) {
-        got = receiver.recvMany(batch, ec);
-      }
-      ASSERT_EQ(got, 1u);
+  // recvMany pins maxBatch buffers up front, so the counts below are
+  // exact.
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  BufferPool pool;
+  RecvBatch batch(pool, 4);
+  std::error_code ec;
+  for (int round = 0; round < 3; ++round) {
+    sender.sendTo(bytes("x"), receiver.localAddr(), ec);
+    size_t got = 0;
+    for (int spin = 0; spin < 500 && got == 0; ++spin) {
+      got = receiver.recvMany(batch, ec);
     }
-    // Round 1 allocates (misses); later rounds ride the free list.
-    auto s = pool.stats();
-    EXPECT_EQ(s.misses, 4u);
-    EXPECT_GE(s.hits, 8u);
+    ASSERT_EQ(got, 1u);
   }
-  setBatchedUdpEnabled(prev);
+  // Round 1 allocates (misses); later rounds ride the free list.
+  auto s = pool.stats();
+  EXPECT_EQ(s.misses, 4u);
+  EXPECT_GE(s.hits, 8u);
 }
 
-// The satellite scenario from the issue: a batch whose plan says "drop
-// element 2 and duplicate element 4" must yield exactly the surviving
-// set — under both the batched and the fallback build.
+// A batch whose plan says "drop element 2 and duplicate element 4"
+// must yield exactly the surviving set.
 TEST(UdpBatchFaultTest, DropElement2DupElement4ExactSurvivors) {
-  BothModes::run([] {
-    fault::ScopedChaosMode chaos;
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    fault::FaultSpec spec;
-    spec.dropDatagramAt = {2};
-    spec.dupDatagramAt = {4};
-    fault::FaultRegistry::instance().armFd(receiver.fd(), spec);
+  fault::ScopedChaosMode chaos;
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  fault::FaultSpec spec;
+  spec.dropDatagramAt = {2};
+  spec.dupDatagramAt = {4};
+  fault::FaultRegistry::instance().armFd(receiver.fd(), spec);
 
-    std::error_code ec;
-    for (int i = 0; i < 6; ++i) {
-      sender.sendTo(bytes("d" + std::to_string(i)), receiver.localAddr(), ec);
-      ASSERT_FALSE(ec);
+  std::error_code ec;
+  for (int i = 0; i < 6; ++i) {
+    sender.sendTo(bytes("d" + std::to_string(i)), receiver.localAddr(), ec);
+    ASSERT_FALSE(ec);
+  }
+  BufferPool pool;
+  RecvBatch batch(pool);
+  std::vector<std::string> got;
+  for (int spin = 0; spin < 500 && got.size() < 6; ++spin) {
+    receiver.recvMany(batch, ec);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got.push_back(str(batch.data(i)));
     }
-    BufferPool pool;
-    RecvBatch batch(pool);
-    std::vector<std::string> got;
-    for (int spin = 0; spin < 500 && got.size() < 6; ++spin) {
-      receiver.recvMany(batch, ec);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got.push_back(str(batch.data(i)));
-      }
-    }
-    std::vector<std::string> want = {"d0", "d1", "d3", "d4", "d4", "d5"};
-    EXPECT_EQ(got, want);
-    EXPECT_GE(fault::FaultRegistry::instance().stats().datagramsDropped, 1u);
-    EXPECT_GE(
-        fault::FaultRegistry::instance().stats().datagramsDuplicated, 1u);
-  });
+  }
+  std::vector<std::string> want = {"d0", "d1", "d3", "d4", "d4", "d5"};
+  EXPECT_EQ(got, want);
+  EXPECT_GE(fault::FaultRegistry::instance().stats().datagramsDropped, 1u);
+  EXPECT_GE(
+      fault::FaultRegistry::instance().stats().datagramsDuplicated, 1u);
 }
 
 TEST(UdpBatchFaultTest, SendSideElementDropAndDup) {
-  BothModes::run([] {
-    fault::ScopedChaosMode chaos;
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    fault::FaultSpec spec;
-    spec.dropDatagramAt = {1};
-    spec.dupDatagramAt = {2};
-    fault::FaultRegistry::instance().armFd(sender.fd(), spec);
+  fault::ScopedChaosMode chaos;
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  fault::FaultSpec spec;
+  spec.dropDatagramAt = {1};
+  spec.dupDatagramAt = {2};
+  fault::FaultRegistry::instance().armFd(sender.fd(), spec);
 
-    BufferPool pool;
-    SendBatch batch(pool);
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(
-          batch.push(bytes("s" + std::to_string(i)), receiver.localAddr()));
-    }
-    std::error_code ec;
-    // A dropped element still counts as sent (matches scalar sendTo).
-    EXPECT_EQ(sender.sendMany(batch, ec), 3u);
-    EXPECT_FALSE(ec);
+  BufferPool pool;
+  SendBatch batch(pool);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        batch.push(bytes("s" + std::to_string(i)), receiver.localAddr()));
+  }
+  std::error_code ec;
+  // A dropped element still counts as sent (matches scalar sendTo).
+  EXPECT_EQ(sender.sendMany(batch, ec), 3u);
+  EXPECT_FALSE(ec);
 
-    RecvBatch rx(pool);
-    std::vector<std::string> got;
-    for (int spin = 0; spin < 500 && got.size() < 3; ++spin) {
-      receiver.recvMany(rx, ec);
-      for (size_t i = 0; i < rx.size(); ++i) {
-        got.push_back(str(rx.data(i)));
-      }
+  RecvBatch rx(pool);
+  std::vector<std::string> got;
+  for (int spin = 0; spin < 500 && got.size() < 3; ++spin) {
+    receiver.recvMany(rx, ec);
+    for (size_t i = 0; i < rx.size(); ++i) {
+      got.push_back(str(rx.data(i)));
     }
-    std::vector<std::string> want = {"s0", "s2", "s2"};
-    EXPECT_EQ(got, want);
-  });
+  }
+  std::vector<std::string> want = {"s0", "s2", "s2"};
+  EXPECT_EQ(got, want);
 }
 
 TEST(UdpBatchFaultTest, ElementTruncation) {
-  BothModes::run([] {
-    fault::ScopedChaosMode chaos;
-    UdpSocket receiver(SocketAddr::loopback(0));
-    UdpSocket sender = UdpSocket::unbound();
-    fault::FaultSpec spec;
-    spec.truncDatagramAt = {0};
-    spec.truncDatagramTo = 3;
-    fault::FaultRegistry::instance().armFd(receiver.fd(), spec);
+  fault::ScopedChaosMode chaos;
+  UdpSocket receiver(SocketAddr::loopback(0));
+  UdpSocket sender = UdpSocket::unbound();
+  fault::FaultSpec spec;
+  spec.truncDatagramAt = {0};
+  spec.truncDatagramTo = 3;
+  fault::FaultRegistry::instance().armFd(receiver.fd(), spec);
 
-    std::error_code ec;
-    sender.sendTo(bytes("hello-world"), receiver.localAddr(), ec);
-    sender.sendTo(bytes("intact"), receiver.localAddr(), ec);
+  std::error_code ec;
+  sender.sendTo(bytes("hello-world"), receiver.localAddr(), ec);
+  sender.sendTo(bytes("intact"), receiver.localAddr(), ec);
 
-    BufferPool pool;
-    RecvBatch batch(pool);
-    std::vector<std::string> got;
-    for (int spin = 0; spin < 500 && got.size() < 2; ++spin) {
-      receiver.recvMany(batch, ec);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got.push_back(str(batch.data(i)));
-      }
+  BufferPool pool;
+  RecvBatch batch(pool);
+  std::vector<std::string> got;
+  for (int spin = 0; spin < 500 && got.size() < 2; ++spin) {
+    receiver.recvMany(batch, ec);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got.push_back(str(batch.data(i)));
     }
-    std::vector<std::string> want = {"hel", "intact"};
-    EXPECT_EQ(got, want);
-    EXPECT_GE(
-        fault::FaultRegistry::instance().stats().datagramsTruncated, 1u);
-  });
+  }
+  std::vector<std::string> want = {"hel", "intact"};
+  EXPECT_EQ(got, want);
+  EXPECT_GE(
+      fault::FaultRegistry::instance().stats().datagramsTruncated, 1u);
 }
 
 TEST(UdpBatchTest, IoStatsAccountSyscallMode) {
@@ -324,10 +284,10 @@ TEST(UdpBatchTest, IoStatsAccountSyscallMode) {
   RecvBatch rx(pool);
   std::error_code ec;
 
-  bool prev = batchedUdpEnabled();
-  setBatchedUdpEnabled(true);
   uint64_t batchBefore =
       ioStats().udpBatchSyscalls.load(std::memory_order_relaxed);
+  uint64_t scalarBefore =
+      ioStats().udpScalarSyscalls.load(std::memory_order_relaxed);
   for (int i = 0; i < 3; ++i) {
     tx.push(bytes("m"), receiver.localAddr());
   }
@@ -339,23 +299,15 @@ TEST(UdpBatchTest, IoStatsAccountSyscallMode) {
   ASSERT_EQ(got, 3u);
   EXPECT_GT(ioStats().udpBatchSyscalls.load(std::memory_order_relaxed),
             batchBefore);
+  // recvMany/sendMany never fall back to one syscall per datagram.
+  EXPECT_EQ(ioStats().udpScalarSyscalls.load(std::memory_order_relaxed),
+            scalarBefore);
 
-  setBatchedUdpEnabled(false);
-  uint64_t scalarBefore =
-      ioStats().udpScalarSyscalls.load(std::memory_order_relaxed);
-  for (int i = 0; i < 3; ++i) {
-    tx.push(bytes("m"), receiver.localAddr());
-  }
-  sender.sendMany(tx, ec);
-  got = 0;
-  for (int spin = 0; spin < 500 && got < 3; ++spin) {
-    got += receiver.recvMany(rx, ec);
-  }
-  ASSERT_EQ(got, 3u);
-  // 3 sends + at least 3 receives, one syscall each in fallback mode.
-  EXPECT_GE(ioStats().udpScalarSyscalls.load(std::memory_order_relaxed),
-            scalarBefore + 6);
-  setBatchedUdpEnabled(prev);
+  // The single-datagram API is what the scalar counter counts.
+  sender.sendTo(bytes("s"), receiver.localAddr(), ec);
+  ASSERT_FALSE(ec);
+  EXPECT_EQ(ioStats().udpScalarSyscalls.load(std::memory_order_relaxed),
+            scalarBefore + 1);
 }
 
 }  // namespace
