@@ -2,7 +2,9 @@
 //
 // Two layers:
 //  * micro — ns/op for every hot-path instrument (Counter, Gauge,
-//    MaxGauge, exact Histogram, HdrHistogram, SpanSink, EventRing),
+//    MaxGauge, exact Histogram, HdrHistogram, the span and event
+//    rings — one SeqlockRing, so both cells time the bare record()),
+//    plus the trace::nowNs clock read every recorded event pays,
 //    single-thread tight loops, because these sit on the per-request
 //    path of a multi-worker proxy;
 //  * macro — closed-loop RPS through the full edge→origin→app pipeline
@@ -91,10 +93,19 @@ std::vector<MicroResult> runMicro() {
     span.endNs = i + 5;
     sink.record(span);
   }));
+  // Both ring cells time the bare record() so they compare like with
+  // like; the clock read fr::recordEvent adds is its own cell.
   fr::EventRing ring(8192);
+  fr::Event event;
+  event.kind = static_cast<uint32_t>(fr::EventKind::kLoopIteration);
+  event.instance = 1;
   out.push_back(microBench("event_ring.record", kIters, [&](uint64_t i) {
-    fr::recordEvent(&ring, fr::EventKind::kLoopIteration, 1, i, 0, 0);
+    event.tNs = i;
+    event.durNs = i;
+    ring.record(event);
   }));
+  out.push_back(
+      microBench("trace.now", kIters, [](uint64_t) { trace::nowNs(); }));
   return out;
 }
 

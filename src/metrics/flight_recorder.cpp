@@ -6,14 +6,6 @@ namespace {
 
 std::atomic<bool> g_recorderEnabled{true};
 
-size_t roundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
 }  // namespace
 
 void setRecorderEnabled(bool on) {
@@ -34,10 +26,6 @@ const char* eventKindName(EventKind k) {
       return "loop.timer_fire";
     case EventKind::kAccept:
       return "accept";
-    case EventKind::kDrainEdge:
-      return "drain.edge";
-    case EventKind::kTakeoverEdge:
-      return "takeover.edge";
     case EventKind::kFaultInjected:
       return "fault.injected";
     case EventKind::kDisruption:
@@ -80,57 +68,6 @@ const char* releasePhaseName(ReleasePhase p) {
       return "shutdown";
   }
   return "steady";
-}
-
-EventRing::EventRing(size_t capacity)
-    : capacity_(roundUpPow2(capacity == 0 ? 1 : capacity)),
-      mask_(capacity_ - 1),
-      slots_(std::make_unique<Slot[]>(capacity_)) {}
-
-void EventRing::record(const Event& e) noexcept {
-  const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[idx & mask_];
-  // Odd sequence: in-progress. Readers that see it skip the slot.
-  slot.seq.store(idx * 2 + 1, std::memory_order_release);
-  slot.tNs.store(e.tNs, std::memory_order_relaxed);
-  slot.kindInstance.store(
-      (static_cast<uint64_t>(e.kind) << 32) | e.instance,
-      std::memory_order_relaxed);
-  slot.durNs.store(e.durNs, std::memory_order_relaxed);
-  slot.traceId.store(e.traceId, std::memory_order_relaxed);
-  slot.detail.store(e.detail, std::memory_order_relaxed);
-  // Even sequence stamped with the claim index: published. A reader
-  // re-checks this after copying to detect overwrite races.
-  slot.seq.store(idx * 2 + 2, std::memory_order_release);
-}
-
-size_t EventRing::snapshot(std::vector<Event>& out) const {
-  const uint64_t end = next_.load(std::memory_order_acquire);
-  const uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-  size_t appended = 0;
-  for (uint64_t idx = begin; idx < end; ++idx) {
-    const Slot& slot = slots_[idx & mask_];
-    if (slot.seq.load(std::memory_order_acquire) != idx * 2 + 2) {
-      continue;  // mid-write or already overwritten
-    }
-    Event e;
-    e.tNs = slot.tNs.load(std::memory_order_relaxed);
-    const uint64_t ki = slot.kindInstance.load(std::memory_order_relaxed);
-    e.kind = static_cast<uint32_t>(ki >> 32);
-    e.instance = static_cast<uint32_t>(ki & 0xffffffffu);
-    e.durNs = slot.durNs.load(std::memory_order_relaxed);
-    e.traceId = slot.traceId.load(std::memory_order_relaxed);
-    e.detail = slot.detail.load(std::memory_order_relaxed);
-    // The field loads above must not sink past the re-check: a plain
-    // acquire load orders later reads, not earlier ones.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != idx * 2 + 2) {
-      continue;  // overwritten while copying
-    }
-    out.push_back(e);
-    ++appended;
-  }
-  return appended;
 }
 
 }  // namespace zdr::fr

@@ -5,10 +5,12 @@
 // "what was the worker's event loop doing at that instant". This module
 // adds the missing layer: a fixed-budget binary ring per worker that
 // continuously captures a small event taxonomy — loop iterations and
-// stalls, timer fires, accept/drain/takeover edges, fault injections,
-// and client-visible disruptions with an explicit cause — using the
-// exact same seqlock/slot-claim idiom as SpanSink, so snapshots never
-// stop writers and the record path never locks or allocates.
+// stalls, timer fires, accepts, fault injections, and client-visible
+// disruptions with an explicit cause — in the same SeqlockRing
+// (seqlock_ring.h) the span sinks use, so snapshots never stop writers
+// and the record path never locks or allocates. Drain and takeover
+// edges are not ring events: the release timeline (timeline.h) records
+// each one once, on the same clock.
 //
 // The disruption taxonomy mirrors the paper's evaluation axes
 // (Figs. 2/10): every client-visible error, reset or shed is
@@ -18,25 +20,24 @@
 // (scripts/attribute_disruptions.py).
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
+#include "metrics/seqlock_ring.h"
 #include "metrics/trace.h"
 
 namespace zdr::fr {
 
 // --------------------------------------------------------- taxonomies
 
+// Values are stable in archived captures. 5 and 6 are retired (drain
+// and takeover edges belong to the release timeline) — do not reuse.
 enum class EventKind : uint8_t {
   kLoopIteration = 1,  // one loop iteration whose dispatch work was slow
   kLoopStall = 2,      // one callback dispatch exceeded the stall budget
   kTimerFire = 3,      // a timer callback ran (slow fires only, see
                        // LoopRecorder::kTimerEventFloorNs)
   kAccept = 4,         // a listener accepted a connection
-  kDrainEdge = 5,      // drain state machine edge (enter/hard/deadline…)
-  kTakeoverEdge = 6,   // socket-takeover edge (arm/send/adopt/fail)
   kFaultInjected = 7,  // the fault layer injected a fault
   kDisruption = 8,     // client-visible error/reset/shed, with a cause
 };
@@ -89,8 +90,8 @@ bool recorderEnabled();
 // --------------------------------------------------------- event model
 
 // One recorded event. All-scalar for the same reason Span is: each
-// field lives in an atomic ring slot. Strings (callback tags, edge
-// names, fault kinds) travel as trace::internInstance ids in `detail`.
+// field lives in an atomic ring word. Strings (callback tags, fault
+// kinds) travel as trace::internInstance ids in `detail`.
 struct Event {
   uint64_t tNs = 0;       // trace::nowNs clock (shared with spans/timeline)
   uint32_t kind = 0;      // EventKind
@@ -98,49 +99,20 @@ struct Event {
   uint64_t durNs = 0;     // stall/iteration/timer duration; 0 otherwise
   uint64_t traceId = 0;   // disruptions: affected trace (0 ⇒ none known)
   uint64_t detail = 0;    // kind-specific (cause/phase pack, tag id, …)
+
+  using Words = std::array<uint64_t, 5>;
+  [[nodiscard]] Words pack() const noexcept {
+    return {tNs, packHalves(kind, instance), durNs, traceId, detail};
+  }
+  static Event unpack(const Words& w) noexcept {
+    return {w[0], static_cast<uint32_t>(w[1] >> 32),
+            static_cast<uint32_t>(w[1]), w[2], w[3], w[4]};
+  }
+  friend bool operator==(const Event&, const Event&) = default;
 };
 
-// Fixed-size multi-producer ring of events; byte-for-byte the SpanSink
-// discipline: claim a slot with one fetch_add, mark it in-progress
-// (odd sequence), store the fields, publish (even sequence). Snapshot
-// skips slots that are mid-write or were overwritten during the scan.
-class EventRing {
- public:
-  explicit EventRing(size_t capacity = 4096);
-  EventRing(const EventRing&) = delete;
-  EventRing& operator=(const EventRing&) = delete;
-
-  void record(const Event& e) noexcept;
-
-  // Appends every currently published event, oldest first. Returns the
-  // number appended.
-  size_t snapshot(std::vector<Event>& out) const;
-
-  [[nodiscard]] uint64_t recorded() const noexcept {
-    return next_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t dropped() const noexcept {
-    uint64_t n = recorded();
-    return n > capacity_ ? n - capacity_ : 0;
-  }
-  [[nodiscard]] size_t capacity() const noexcept { return capacity_; }
-
- private:
-  struct Slot {
-    // seq: 0 = empty, 2*idx+1 = writing, 2*idx+2 = published-for-idx.
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> tNs{0};
-    std::atomic<uint64_t> kindInstance{0};  // kind << 32 | instance
-    std::atomic<uint64_t> durNs{0};
-    std::atomic<uint64_t> traceId{0};
-    std::atomic<uint64_t> detail{0};
-  };
-
-  size_t capacity_;
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
-};
+// Per-worker ring of events: the same SeqlockRing as trace::SpanSink.
+using EventRing = SeqlockRing<Event>;
 
 // Hot-path helper mirroring recordSpan: a no-op when the ring handle
 // is unresolved or the recorder gate is off.

@@ -194,76 +194,33 @@ class TimeSeries {
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = counters_[name];
-    if (!slot) {
-      slot = std::make_unique<Counter>();
-    }
-    return *slot;
+    return getOrCreate(counters_, name);
   }
-  Gauge& gauge(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = gauges_[name];
-    if (!slot) {
-      slot = std::make_unique<Gauge>();
-    }
-    return *slot;
-  }
+  Gauge& gauge(const std::string& name) { return getOrCreate(gauges_, name); }
   Histogram& histogram(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = histograms_[name];
-    if (!slot) {
-      slot = std::make_unique<Histogram>();
-    }
-    return *slot;
+    return getOrCreate(histograms_, name);
   }
   TimeSeries& series(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = series_[name];
-    if (!slot) {
-      slot = std::make_unique<TimeSeries>();
-    }
-    return *slot;
+    return getOrCreate(series_, name);
   }
   MaxGauge& maxGauge(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = maxGauges_[name];
-    if (!slot) {
-      slot = std::make_unique<MaxGauge>();
-    }
-    return *slot;
+    return getOrCreate(maxGauges_, name);
   }
   // Hot-path log-linear histogram (per-worker handles are resolved
   // once at init, like HotCounters).
   HdrHistogram& hdr(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = hdrs_[name];
-    if (!slot) {
-      slot = std::make_unique<HdrHistogram>();
-    }
-    return *slot;
+    return getOrCreate(hdrs_, name);
   }
   // Per-worker span ring. The capacity applies on first creation only
   // (instruments are create-on-first-use with stable addresses).
   trace::SpanSink& spanSink(const std::string& name,
                             size_t capacity = 8192) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = spanSinks_[name];
-    if (!slot) {
-      slot = std::make_unique<trace::SpanSink>(capacity);
-    }
-    return *slot;
+    return getOrCreate(spanSinks_, name, capacity);
   }
-  // Per-worker flight-recorder event ring (sibling of spanSink; same
-  // first-creation capacity rule).
+  // Per-worker flight-recorder event ring (same first-creation rule).
   fr::EventRing& eventRing(const std::string& name,
                            size_t capacity = 4096) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = eventRings_[name];
-    if (!slot) {
-      slot = std::make_unique<fr::EventRing>(capacity);
-    }
-    return *slot;
+    return getOrCreate(eventRings_, name, capacity);
   }
   // One release timeline per registry (i.e. per testbed/fleet).
   PhaseTimeline& timeline() noexcept { return timeline_; }
@@ -311,86 +268,80 @@ class MetricsRegistry {
   }
 
   [[nodiscard]] std::vector<std::string> counterNames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) {
-      names.push_back(name);
-    }
-    return names;
+    return namesOf(counters_);
   }
   [[nodiscard]] std::vector<std::string> hdrNames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(hdrs_.size());
-    for (const auto& [name, h] : hdrs_) {
-      names.push_back(name);
-    }
-    return names;
+    return namesOf(hdrs_);
   }
   [[nodiscard]] std::vector<std::string> spanSinkNames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(spanSinks_.size());
-    for (const auto& [name, s] : spanSinks_) {
-      names.push_back(name);
-    }
-    return names;
+    return namesOf(spanSinks_);
   }
   [[nodiscard]] std::vector<std::string> eventRingNames() const {
+    return namesOf(eventRings_);
+  }
+  // Drains (non-destructively) every ring into one vector — the
+  // "registry drains the sinks on snapshot" half of the tracing
+  // contract. Tests and the renderers go through these.
+  [[nodiscard]] std::vector<trace::Span> collectSpans() const {
+    return collect(spanSinks_);
+  }
+  [[nodiscard]] std::vector<fr::Event> collectEvents() const {
+    return collect(eventRings_);
+  }
+
+ private:
+  template <typename T>
+  using Instruments = std::map<std::string, std::unique_ptr<T>>;
+
+  template <typename T, typename... Args>
+  T& getOrCreate(Instruments<T>& instruments, const std::string& name,
+                 Args... args) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& slot = instruments[name];
+    if (!slot) {
+      slot = std::make_unique<T>(args...);
+    }
+    return *slot;
+  }
+  template <typename T>
+  std::vector<std::string> namesOf(const Instruments<T>& instruments) const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(eventRings_.size());
-    for (const auto& [name, r] : eventRings_) {
+    names.reserve(instruments.size());
+    for (const auto& [name, instrument] : instruments) {
       names.push_back(name);
     }
     return names;
   }
-  // Non-destructive drain of every event ring, mirroring collectSpans.
-  [[nodiscard]] std::vector<fr::Event> collectEvents() const {
-    std::vector<const fr::EventRing*> rings;
+  // Snapshots run outside the map lock: the rings are lock-free and
+  // their addresses are stable for the registry's lifetime.
+  template <typename Record>
+  std::vector<Record> collect(
+      const Instruments<SeqlockRing<Record>>& rings) const {
+    std::vector<const SeqlockRing<Record>*> ptrs;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      rings.reserve(eventRings_.size());
-      for (const auto& [name, r] : eventRings_) {
-        rings.push_back(r.get());
+      ptrs.reserve(rings.size());
+      for (const auto& [name, ring] : rings) {
+        ptrs.push_back(ring.get());
       }
     }
-    std::vector<fr::Event> out;
-    for (const auto* r : rings) {
-      r->snapshot(out);
-    }
-    return out;
-  }
-  // Drains (non-destructively) every sink into one vector — the
-  // "registry drains the sinks on snapshot" half of the tracing
-  // contract. Tests and the stats renderer both go through this.
-  [[nodiscard]] std::vector<trace::Span> collectSpans() const {
-    std::vector<const trace::SpanSink*> sinks;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sinks.reserve(spanSinks_.size());
-      for (const auto& [name, s] : spanSinks_) {
-        sinks.push_back(s.get());
-      }
-    }
-    std::vector<trace::Span> out;
-    for (const auto* s : sinks) {
-      s->snapshot(out);
+    std::vector<Record> out;
+    for (const auto* ring : ptrs) {
+      ring->snapshot(out);
     }
     return out;
   }
 
- private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<MaxGauge>> maxGauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<HdrHistogram>> hdrs_;
-  std::map<std::string, std::unique_ptr<TimeSeries>> series_;
-  std::map<std::string, std::unique_ptr<trace::SpanSink>> spanSinks_;
-  std::map<std::string, std::unique_ptr<fr::EventRing>> eventRings_;
+  Instruments<Counter> counters_;
+  Instruments<Gauge> gauges_;
+  Instruments<MaxGauge> maxGauges_;
+  Instruments<Histogram> histograms_;
+  Instruments<HdrHistogram> hdrs_;
+  Instruments<TimeSeries> series_;
+  Instruments<trace::SpanSink> spanSinks_;
+  Instruments<fr::EventRing> eventRings_;
   PhaseTimeline timeline_;
 };
 

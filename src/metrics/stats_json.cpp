@@ -70,6 +70,13 @@ void renderSpan(std::ostream& os, const trace::Span& s) {
 
 }  // namespace
 
+void writeSpanSection(std::ostream& os, MetricsRegistry& reg, size_t cap) {
+  writeRingSection<trace::Span>(
+      os, "spans", reg.spanSinkNames(),
+      [&reg](const std::string& name) -> auto& { return reg.spanSink(name); },
+      cap, renderSpan);
+}
+
 std::string renderStatsJson(MetricsRegistry& reg, const StatsOptions& opts) {
   std::ostringstream os;
   os << "{\n  \"instance\": ";
@@ -144,32 +151,7 @@ std::string renderStatsJson(MetricsRegistry& reg, const StatsOptions& opts) {
   os << "\n  },\n";
 
   // Spans: per-sink ring contents (most recent maxSpansPerSink).
-  auto sinkNames = reg.spanSinkNames();
-  os << "  \"spans\": {";
-  for (size_t i = 0; i < sinkNames.size(); ++i) {
-    trace::SpanSink& sink = reg.spanSink(sinkNames[i]);
-    std::vector<trace::Span> spans;
-    sink.snapshot(spans);
-    size_t firstIdx = spans.size() > opts.maxSpansPerSink
-                          ? spans.size() - opts.maxSpansPerSink
-                          : 0;
-    if (i > 0) {
-      os << ", ";
-    }
-    os << "\n    ";
-    jsonString(os, sinkNames[i]);
-    os << ": {\"recorded\": " << sink.recorded()
-       << ", \"dropped\": " << sink.dropped() << ", \"spans\": [";
-    for (size_t j = firstIdx; j < spans.size(); ++j) {
-      if (j > firstIdx) {
-        os << ", ";
-      }
-      os << "\n      ";
-      renderSpan(os, spans[j]);
-    }
-    os << "]}";
-  }
-  os << "\n  },\n";
+  writeSpanSection(os, reg, opts.maxSpansPerSink);
 
   // Release timeline (already a JSON document of its own).
   os << "  \"timeline\": " << reg.timeline().toJson();

@@ -9,8 +9,16 @@
 // span overlap a drain window?" directly, and export the whole thing
 // as JSON next to the /__stats snapshot.
 //
+// It is the only record of drain and takeover edges: the flight
+// recorder's event rings (flight_recorder.h) do not copy them.
+//
 // Recording is cold-path (a handful of events per release), so a
 // mutex-guarded vector is the right tool; no lock-free heroics here.
+// It deliberately stays out of the fixed SeqlockRing the spans and
+// events share: phases and details are free-form strings (e.g. the
+// broker's per-client "dcr_session_attach"), which a ring could only
+// carry by interning them into the append-only process-wide table, and
+// a drain window must not be lost to wraparound.
 #pragma once
 
 #include <cstdint>

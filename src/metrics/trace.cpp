@@ -142,73 +142,4 @@ bool parseTraceHeader(std::string_view value, uint64_t& traceId,
   return true;
 }
 
-// ----------------------------------------------------------- SpanSink
-
-namespace {
-size_t roundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-}  // namespace
-
-SpanSink::SpanSink(size_t capacity)
-    : capacity_(roundUpPow2(capacity < 2 ? 2 : capacity)),
-      mask_(capacity_ - 1),
-      slots_(std::make_unique<Slot[]>(capacity_)) {}
-
-void SpanSink::record(const Span& s) noexcept {
-  const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[idx & mask_];
-  // Mark in-progress for this generation. Release so a reader that
-  // observes the published seq also observes the field stores.
-  slot.seq.store(idx * 2 + 1, std::memory_order_release);
-  slot.traceId.store(s.traceId, std::memory_order_relaxed);
-  slot.spanId.store(s.spanId, std::memory_order_relaxed);
-  slot.parentId.store(s.parentId, std::memory_order_relaxed);
-  slot.kindInstance.store(
-      (static_cast<uint64_t>(s.kind) << 32) | s.instance,
-      std::memory_order_relaxed);
-  slot.startNs.store(s.startNs, std::memory_order_relaxed);
-  slot.endNs.store(s.endNs, std::memory_order_relaxed);
-  slot.detail.store(s.detail, std::memory_order_relaxed);
-  slot.seq.store(idx * 2 + 2, std::memory_order_release);
-}
-
-size_t SpanSink::snapshot(std::vector<Span>& out) const {
-  const uint64_t end = next_.load(std::memory_order_acquire);
-  const uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-  size_t appended = 0;
-  for (uint64_t idx = begin; idx < end; ++idx) {
-    const Slot& slot = slots_[idx & mask_];
-    const uint64_t expect = idx * 2 + 2;
-    if (slot.seq.load(std::memory_order_acquire) != expect) {
-      continue;  // mid-write or already overwritten by a newer span
-    }
-    Span s;
-    s.traceId = slot.traceId.load(std::memory_order_relaxed);
-    s.spanId = slot.spanId.load(std::memory_order_relaxed);
-    s.parentId = slot.parentId.load(std::memory_order_relaxed);
-    uint64_t ki = slot.kindInstance.load(std::memory_order_relaxed);
-    s.kind = static_cast<uint32_t>(ki >> 32);
-    s.instance = static_cast<uint32_t>(ki & 0xFFFFFFFFu);
-    s.startNs = slot.startNs.load(std::memory_order_relaxed);
-    s.endNs = slot.endNs.load(std::memory_order_relaxed);
-    s.detail = slot.detail.load(std::memory_order_relaxed);
-    // Re-check: if a writer claimed this slot while we copied, the
-    // copy may mix generations — discard it. The fence keeps the
-    // relaxed field loads above from sinking past the re-check (an
-    // acquire load only orders the reads that follow it).
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != expect) {
-      continue;
-    }
-    out.push_back(s);
-    ++appended;
-  }
-  return appended;
-}
-
 }  // namespace zdr::trace

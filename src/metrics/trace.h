@@ -5,27 +5,27 @@
 // adds the missing attribution: a TraceContext minted at the edge and
 // propagated on every hop (x-zdr-trace header on trunk/app requests, a
 // payload field on DCR control frames), with each tier recording
-// completed hop spans into a per-worker, fixed-size, lock-free
-// SpanSink that the registry drains on snapshot.
+// completed hop spans into a per-worker SpanSink — the lock-free
+// SeqlockRing (seqlock_ring.h) the flight recorder also uses — that
+// the registry drains on snapshot.
 //
 // Design constraints, in order:
 //  * the record path sits on the multi-worker hot path — no locks, no
 //    allocation, a handful of relaxed atomic stores;
 //  * snapshots may run concurrently with recording (the /__stats
-//    endpoint scrapes a live proxy) — every slot field is an atomic
-//    and publication is guarded by a per-slot sequence counter, so a
-//    torn read is detected and skipped, never handed out;
+//    endpoint scrapes a live proxy) — the ring detects a torn read and
+//    skips it, never hands it out;
 //  * span/trace ids must round-trip through JSON doubles exactly, so
 //    ids are minted from a process-wide counter (uint53-safe), not
 //    random 64-bit values.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "metrics/seqlock_ring.h"
 
 namespace zdr::trace {
 
@@ -73,7 +73,8 @@ enum class SpanKind : uint8_t {
 const char* spanKindName(SpanKind k);
 
 // One completed hop. All-scalar on purpose: the SpanSink stores each
-// field in an atomic slot so concurrent scrape never races recording.
+// field in an atomic ring word so concurrent scrape never races
+// recording.
 struct Span {
   uint64_t traceId = 0;
   uint64_t spanId = 0;
@@ -83,6 +84,17 @@ struct Span {
   uint64_t startNs = 0;
   uint64_t endNs = 0;
   uint64_t detail = 0;  // kind-specific (HTTP status, attempt #, …)
+
+  using Words = std::array<uint64_t, 7>;
+  [[nodiscard]] Words pack() const noexcept {
+    return {traceId, spanId,  parentId, packHalves(kind, instance),
+            startNs, endNs, detail};
+  }
+  static Span unpack(const Words& w) noexcept {
+    return {w[0], w[1], w[2], static_cast<uint32_t>(w[3] >> 32),
+            static_cast<uint32_t>(w[3]), w[4], w[5], w[6]};
+  }
+  friend bool operator==(const Span&, const Span&) = default;
 };
 
 // Propagation context carried per in-flight request.
@@ -102,52 +114,8 @@ inline constexpr std::string_view kTraceHeaderName = "x-zdr-trace";
 
 // ----------------------------------------------------------- SpanSink
 
-// Fixed-size multi-producer ring of completed spans. record() is
-// lock-free: claim a slot with one fetch_add, mark it in-progress
-// (odd sequence), store the fields, publish (even sequence). When the
-// ring wraps, the oldest spans are overwritten and counted as dropped.
-// snapshot() is non-destructive and skips slots that are mid-write or
-// were overwritten during the scan.
-class SpanSink {
- public:
-  // Capacity is rounded up to a power of two; default fits a burst of
-  // ~8k spans per worker between scrapes.
-  explicit SpanSink(size_t capacity = 8192);
-  SpanSink(const SpanSink&) = delete;
-  SpanSink& operator=(const SpanSink&) = delete;
-
-  void record(const Span& s) noexcept;
-
-  // Appends every currently published span, oldest first. Returns the
-  // number appended.
-  size_t snapshot(std::vector<Span>& out) const;
-
-  [[nodiscard]] uint64_t recorded() const noexcept {
-    return next_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t dropped() const noexcept {
-    uint64_t n = recorded();
-    return n > capacity_ ? n - capacity_ : 0;
-  }
-  [[nodiscard]] size_t capacity() const noexcept { return capacity_; }
-
- private:
-  struct Slot {
-    // seq: 0 = empty, 2*idx+1 = writing, 2*idx+2 = published-for-idx.
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> traceId{0};
-    std::atomic<uint64_t> spanId{0};
-    std::atomic<uint64_t> parentId{0};
-    std::atomic<uint64_t> kindInstance{0};  // kind << 32 | instance
-    std::atomic<uint64_t> startNs{0};
-    std::atomic<uint64_t> endNs{0};
-    std::atomic<uint64_t> detail{0};
-  };
-
-  size_t capacity_;
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
-};
+// Per-worker ring of completed spans (seqlock_ring.h); the registry
+// drains every sink on snapshot.
+using SpanSink = SeqlockRing<Span>;
 
 }  // namespace zdr::trace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "metrics/json_lite.h"
+#include "metrics/stats_json.h"
 
 namespace zdr::fr {
 
@@ -12,16 +13,6 @@ namespace {
 
 void jsonString(std::ostream& os, const std::string& s) {
   jsonlite::writeString(os, s);
-}
-
-void renderSpan(std::ostream& os, const trace::Span& s) {
-  os << "{\"trace_id\": " << s.traceId << ", \"span_id\": " << s.spanId
-     << ", \"parent_id\": " << s.parentId << ", \"kind\": ";
-  jsonString(os, trace::spanKindName(static_cast<trace::SpanKind>(s.kind)));
-  os << ", \"instance\": ";
-  jsonString(os, trace::instanceName(s.instance));
-  os << ", \"start_ns\": " << s.startNs << ", \"end_ns\": " << s.endNs
-     << ", \"detail\": " << s.detail << "}";
 }
 
 void renderEvent(std::ostream& os, const Event& e) {
@@ -63,55 +54,11 @@ std::string renderTraceCapture(MetricsRegistry& reg,
   jsonString(os, opts.instance);
   os << ",\n  \"t_ns\": " << trace::nowNs() << ",\n";
 
-  auto sinkNames = reg.spanSinkNames();
-  os << "  \"spans\": {";
-  for (size_t i = 0; i < sinkNames.size(); ++i) {
-    trace::SpanSink& sink = reg.spanSink(sinkNames[i]);
-    std::vector<trace::Span> spans;
-    sink.snapshot(spans);
-    size_t firstIdx = firstIndexFor(spans.size(), opts.maxSpansPerSink);
-    if (i > 0) {
-      os << ", ";
-    }
-    os << "\n    ";
-    jsonString(os, sinkNames[i]);
-    os << ": {\"recorded\": " << sink.recorded()
-       << ", \"dropped\": " << sink.dropped() << ", \"spans\": [";
-    for (size_t j = firstIdx; j < spans.size(); ++j) {
-      if (j > firstIdx) {
-        os << ", ";
-      }
-      os << "\n      ";
-      renderSpan(os, spans[j]);
-    }
-    os << "]}";
-  }
-  os << "\n  },\n";
-
-  auto ringNames = reg.eventRingNames();
-  os << "  \"events\": {";
-  for (size_t i = 0; i < ringNames.size(); ++i) {
-    EventRing& ring = reg.eventRing(ringNames[i]);
-    std::vector<Event> events;
-    ring.snapshot(events);
-    size_t firstIdx = firstIndexFor(events.size(), opts.maxEventsPerRing);
-    if (i > 0) {
-      os << ", ";
-    }
-    os << "\n    ";
-    jsonString(os, ringNames[i]);
-    os << ": {\"recorded\": " << ring.recorded()
-       << ", \"dropped\": " << ring.dropped() << ", \"events\": [";
-    for (size_t j = firstIdx; j < events.size(); ++j) {
-      if (j > firstIdx) {
-        os << ", ";
-      }
-      os << "\n      ";
-      renderEvent(os, events[j]);
-    }
-    os << "]}";
-  }
-  os << "\n  },\n";
+  stats::writeSpanSection(os, reg, opts.maxSpansPerSink);
+  stats::writeRingSection<Event>(
+      os, "events", reg.eventRingNames(),
+      [&reg](const std::string& name) -> auto& { return reg.eventRing(name); },
+      opts.maxEventsPerRing, renderEvent);
 
   os << "  \"timeline\": " << reg.timeline().toJson();
   os << "}\n";

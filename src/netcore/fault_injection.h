@@ -42,9 +42,12 @@
 
 namespace zdr {
 class MetricsRegistry;
+template <typename Record>
+class SeqlockRing;
 }
 namespace zdr::fr {
-class EventRing;
+struct Event;
+using EventRing = SeqlockRing<Event>;
 }
 
 namespace zdr::fault {

@@ -346,9 +346,6 @@ void Proxy::startFromHandoff(takeover::TakeoverClient::Result handoff) {
   }
   bump(config_.name + ".takeover_adopted");
   tlPoint("ring_adopted", std::to_string(handoff.sockets.size()));
-  fr::recordEvent(shards_.empty() ? nullptr : shards_.front()->events,
-                  fr::EventKind::kTakeoverEdge, traceInstance_, 0, 0,
-                  handoff.sockets.size());
 }
 
 takeover::Inventory Proxy::buildInventory(std::vector<int>& fds) {
@@ -404,8 +401,6 @@ void Proxy::armTakeoverServer() {
       [this](std::vector<int>& fds) { return buildInventory(fds); },
       [this] { enterDrain(); });
   tlPoint("takeover_armed");
-  fr::recordEvent(shards_.empty() ? nullptr : shards_.front()->events,
-                  fr::EventKind::kTakeoverEdge, traceInstance_, 0, 0, 0);
 }
 
 SocketAddr Proxy::httpVip() const {
@@ -434,10 +429,6 @@ void Proxy::startHardDrain() {
   draining_.store(true, std::memory_order_release);
   bump(config_.name + ".hard_drain_started");
   tlBegin("hard_drain");
-  fr::recordEvent(shards_.empty() ? nullptr : shards_.front()->events,
-                  fr::EventKind::kDrainEdge, traceInstance_, 0, 0,
-                  fr::packCausePhase(fr::DisruptionCause::kNone,
-                                     fr::ReleasePhase::kHardDrain));
   if (config_.role == Role::kOrigin) {
     // Edge↔Origin trunks are HTTP/2: graceful GOAWAY is available even
     // in the traditional flow (§2.2).
@@ -485,11 +476,6 @@ void Proxy::enterDrain() {
   drainSpanId_ = trace::newId();
   tlBegin("zdr_drain",
           trace::formatTraceHeader(drainTraceId_, drainSpanId_));
-  fr::recordEvent(shards_.empty() ? nullptr : shards_.front()->events,
-                  fr::EventKind::kDrainEdge, traceInstance_, 0,
-                  drainTraceId_,
-                  fr::packCausePhase(fr::DisruptionCause::kNone,
-                                     fr::ReleasePhase::kDrain));
 
   // Stop accepting: close our dup of the listening fds (the updated
   // instance keeps the sockets alive).
@@ -623,11 +609,6 @@ void Proxy::terminate() {
                                                         : "zdr_drain");
   }
   tlPoint("terminated");
-  fr::recordEvent(shards_.empty() ? nullptr : shards_.front()->events,
-                  fr::EventKind::kDrainEdge, traceInstance_, 0,
-                  drainTraceId_,
-                  fr::packCausePhase(fr::DisruptionCause::kNone,
-                                     fr::ReleasePhase::kShutdown));
   // Forced closes past a missed drain deadline are deadline
   // casualties; everything else reset here is the ordinary
   // end-of-restart cut.

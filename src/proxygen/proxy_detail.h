@@ -44,7 +44,7 @@ struct Proxy::Shard {
   // off the data path). Null without a registry.
   trace::SpanSink* spans = nullptr;      // "<name>.w<idx>" span ring
   // Flight-recorder event ring (same "<name>.w<idx>" key as spans):
-  // accept/drain/takeover edges, loop stalls, disruption attribution.
+  // accepts, loop stalls, disruption attribution.
   fr::EventRing* events = nullptr;
   // This proxy's loop observer for the shard (owned by
   // loopRecorders_). Shard 0's loop is shared with the takeover peer

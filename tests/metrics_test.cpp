@@ -1,6 +1,7 @@
 // Metrics instrumentation: counters, gauges, histograms, time series,
-// registry, CPU probes, hot-path hdr histograms, span sinks, and the
-// release timeline.
+// registry, CPU probes, hot-path hdr histograms, span rendering, and
+// the release timeline. The ring under the span sinks has its own suite
+// (seqlock_ring_test.cpp).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -270,69 +271,6 @@ trace::Span makeSpan(uint64_t traceId, uint64_t spanId) {
   s.endNs = spanId * 10 + 5;
   s.detail = 200;
   return s;
-}
-
-TEST(SpanSinkTest, RecordSnapshotRoundTrip) {
-  trace::SpanSink sink(16);
-  sink.record(makeSpan(7, 1));
-  sink.record(makeSpan(7, 2));
-  std::vector<trace::Span> out;
-  EXPECT_EQ(sink.snapshot(out), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].spanId, 1u);
-  EXPECT_EQ(out[1].spanId, 2u);
-  EXPECT_EQ(out[1].traceId, 7u);
-  EXPECT_EQ(out[1].detail, 200u);
-  EXPECT_EQ(sink.dropped(), 0u);
-  // Non-destructive: a second snapshot sees the same spans.
-  std::vector<trace::Span> again;
-  EXPECT_EQ(sink.snapshot(again), 2u);
-}
-
-TEST(SpanSinkTest, WrapKeepsNewestAndCountsDropped) {
-  trace::SpanSink sink(8);  // power of two already
-  for (uint64_t i = 1; i <= 20; ++i) {
-    sink.record(makeSpan(1, i));
-  }
-  EXPECT_EQ(sink.recorded(), 20u);
-  EXPECT_EQ(sink.dropped(), 12u);
-  std::vector<trace::Span> out;
-  EXPECT_EQ(sink.snapshot(out), 8u);
-  // Oldest-first: the surviving window is [13, 20].
-  EXPECT_EQ(out.front().spanId, 13u);
-  EXPECT_EQ(out.back().spanId, 20u);
-}
-
-TEST(SpanSinkTest, ConcurrentRecordAndSnapshotNeverTears) {
-  trace::SpanSink sink(64);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 1; t <= 4; ++t) {
-    writers.emplace_back([&sink, &stop, t] {
-      uint64_t i = 1;
-      while (!stop.load(std::memory_order_relaxed)) {
-        trace::Span s = makeSpan(static_cast<uint64_t>(t), i);
-        s.detail = static_cast<uint64_t>(t) * 1000000 + i;  // consistency tag
-        s.startNs = s.detail;
-        sink.record(s);
-        ++i;
-      }
-    });
-  }
-  for (int iter = 0; iter < 200; ++iter) {
-    std::vector<trace::Span> out;
-    sink.snapshot(out);
-    for (const auto& s : out) {
-      // A torn span would mix fields from two different records.
-      EXPECT_EQ(s.startNs, s.detail);
-      EXPECT_GE(s.traceId, 1u);
-      EXPECT_LE(s.traceId, 4u);
-    }
-  }
-  stop.store(true);
-  for (auto& w : writers) {
-    w.join();
-  }
 }
 
 TEST(TracingGateTest, DisabledGateObservable) {
