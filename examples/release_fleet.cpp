@@ -1,9 +1,10 @@
-// Fleet release drills: rolling releases across a whole edge tier with
-// live traffic, under three regimes —
-//   1. Zero Downtime Release (socket takeover per host),
-//   2. traditional HardRestart,
-//   3. a canary-gated release that detects a "bad binary" from client
-//      error counters and rolls back automatically (§5.1's mitigation
+// Fleet release drills: releases across a whole edge tier with live
+// traffic, under three regimes —
+//   1. a rolling Zero Downtime Release (socket takeover per host),
+//   2. a rolling traditional HardRestart,
+//   3. a canary drill: ReleaseController rolls a bad binary whose
+//      client-visible errors burn the first batch's (the canary's)
+//      zero-error budget, and rolls that batch back (§5.1's mitigation
 //      practice).
 //
 //   ./build/examples/release_fleet
@@ -11,7 +12,8 @@
 
 #include "core/testbed.h"
 #include "core/workload.h"
-#include "release/monitored_release.h"
+#include "netcore/fault_injection.h"
+#include "release/release_controller.h"
 
 using namespace zdr;
 
@@ -23,6 +25,27 @@ struct Drill {
   double seconds = 0;
 };
 
+std::string loadPrefix(size_t edge) { return "load" + std::to_string(edge); }
+
+// One load generator per edge entry, warmed up before returning.
+std::vector<std::unique_ptr<core::HttpLoadGen>> startLoads(
+    core::Testbed& bed) {
+  std::vector<std::unique_ptr<core::HttpLoadGen>> loads;
+  for (size_t e = 0; e < bed.edgeCount(); ++e) {
+    core::HttpLoadGen::Options lo;
+    lo.concurrency = 3;
+    lo.thinkTime = Duration{2};
+    lo.timeout = Duration{1200};
+    loads.push_back(std::make_unique<core::HttpLoadGen>(
+        bed.httpEntry(e), lo, bed.metrics(), loadPrefix(e)));
+    loads.back()->start();
+  }
+  while (loads[0]->completed() < 50) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return loads;
+}
+
 Drill runRolling(release::Strategy strategy) {
   core::TestbedOptions opts;
   opts.edges = 4;
@@ -31,20 +54,7 @@ Drill runRolling(release::Strategy strategy) {
   opts.enableMqtt = false;
   opts.proxyDrainPeriod = Duration{300};
   core::Testbed bed(opts);
-
-  std::vector<std::unique_ptr<core::HttpLoadGen>> loads;
-  for (size_t e = 0; e < bed.edgeCount(); ++e) {
-    core::HttpLoadGen::Options lo;
-    lo.concurrency = 3;
-    lo.thinkTime = Duration{2};
-    lo.timeout = Duration{1200};
-    loads.push_back(std::make_unique<core::HttpLoadGen>(
-        bed.httpEntry(e), lo, bed.metrics(), "load" + std::to_string(e)));
-    loads.back()->start();
-  }
-  while (loads[0]->completed() < 50) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  auto loads = startLoads(bed);
 
   release::RollingReleaseOptions ro;
   ro.strategy = strategy;
@@ -57,18 +67,20 @@ Drill runRolling(release::Strategy strategy) {
   Drill d;
   d.seconds = report.totalSeconds;
   for (size_t e = 0; e < bed.edgeCount(); ++e) {
-    d.completed +=
-        bed.metrics().counter("load" + std::to_string(e) + ".ok").value();
+    d.completed += bed.metrics().counter(loadPrefix(e) + ".ok").value();
     for (const char* kind : {".err_http", ".err_timeout", ".err_transport"}) {
-      d.failures += bed.metrics()
-                        .counter("load" + std::to_string(e) + kind)
-                        .value();
+      d.failures += bed.metrics().counter(loadPrefix(e) + kind).value();
     }
   }
   return d;
 }
 
-void runCanaryDrill() {
+// True when the drill ended as it must: rolled back, with every
+// released host rolled back.
+bool runCanaryDrill() {
+  // The chaos gate opens before the testbed builds so every socket gets
+  // its fault tag bound at creation.
+  fault::ScopedChaosMode chaos;
   core::TestbedOptions opts;
   opts.edges = 4;
   opts.origins = 1;
@@ -76,42 +88,64 @@ void runCanaryDrill() {
   opts.enableMqtt = false;
   opts.proxyDrainPeriod = Duration{200};
   core::Testbed bed(opts);
+  auto loads = startLoads(bed);
 
-  // The "bad binary": pretend the canary's health gate sees client
-  // errors after the first batch (we simulate the regression signal —
-  // in production it comes from exactly the counters this testbed
-  // already collects).
-  std::atomic<int> gateCalls{0};
-  release::MonitoredReleaseOptions mo;
-  mo.batchFraction = 0.25;
-  mo.canarySoak = std::chrono::milliseconds(50);
-  mo.healthGate = [&]() -> release::HealthVerdict {
-    if (gateCalls.fetch_add(1) == 0) {  // canary fails
-      return {false, "client err_rate regressed on canary"};
-    }
-    return true;
+  std::vector<SocketAddr> entries;
+  release::StageSpec stage;
+  for (size_t e = 0; e < bed.edgeCount(); ++e) {
+    entries.push_back(bed.httpEntry(e));
+    stage.signals.clientPrefixes.push_back(loadPrefix(e));
+  }
+  release::HttpStatsSource stats(std::move(entries));
+  stage.name = "edge/pop0";
+  stage.tier = "edge";
+  stage.pop = "pop0";
+  stage.hosts = bed.edgeHosts();
+  stage.stats = &stats;
+  stage.signals.latencyHist = loadPrefix(0) + ".latency_ms";
+  stage.batchFraction = 0.25;  // the canary is one edge of four
+
+  release::ReleaseControllerOptions co;
+  co.scrapeInterval = Duration{50};
+  // The bad binary: from the stage's start every origin→app write is
+  // reset, so clients get real 5xx responses. The stage's baseline is
+  // scraped right after this hook; every error after it burns budget.
+  co.onStageStart = [](const release::StageSpec&, size_t) {
+    fault::FaultSpec bad;
+    bad.errProb = 1.0;
+    bad.errOp = fault::Op::kWrite;
+    fault::FaultRegistry::instance().armTag("origin.app", bad);
   };
   std::vector<std::string> events;
-  mo.onEvent = [&](const std::string& e) { events.push_back(e); };
+  co.onEvent = [&](const std::string& e) { events.push_back(e); };
 
-  auto report = release::runMonitoredRelease(bed.edgeHosts(), mo);
+  auto report = release::ReleaseController({stage}, co).run();
+  for (auto& l : loads) {
+    l->stop();
+  }
+
+  std::string reason;
+  for (const auto& d : report.stages[0].decisions) {
+    if (d.action == "rollback") {
+      reason = d.reason;
+    }
+  }
+  const bool rolledBack =
+      report.outcome == release::RolloutOutcome::kRolledBack;
   std::printf("  canary outcome: %s\n",
-              report.outcome == release::ReleaseOutcome::kRolledBack
-                  ? "ROLLED BACK"
-                  : "completed");
+              rolledBack ? "ROLLED BACK"
+                         : release::rolloutOutcomeName(report.outcome));
   std::printf("  hosts released before detection: %zu\n",
               report.hostsReleased);
   std::printf("  hosts rolled back:               %zu\n",
               report.hostsRolledBack);
-  std::printf("  halted at batch %zu: %s\n", report.haltedBatch,
-              report.haltReason.c_str());
-  std::printf("  blast radius contained to the canary batch: %s\n",
-              report.hostsReleased == 1 ? "yes" : "no");
+  std::printf("  rollback reason: %s\n", reason.c_str());
   std::printf("  events: ");
   for (const auto& e : events) {
     std::printf("[%s] ", e.c_str());
   }
   std::printf("\n");
+  return rolledBack && report.hostsRolledBack == report.hostsReleased;
 }
 
 }  // namespace
@@ -132,11 +166,11 @@ int main() {
               static_cast<unsigned long long>(hard.failures), hard.seconds);
 
   std::printf("3) Canary release of a bad binary (auto-rollback):\n");
-  runCanaryDrill();
+  const bool canaryOk = runCanaryDrill();
 
   std::printf("\nZDR failures:  %llu (expected 0)\n",
               static_cast<unsigned long long>(zdr.failures));
   std::printf("Hard failures: %llu (the cost of the old way)\n",
               static_cast<unsigned long long>(hard.failures));
-  return zdr.failures == 0 ? 0 : 1;
+  return zdr.failures == 0 && canaryOk ? 0 : 1;
 }

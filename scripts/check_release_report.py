@@ -23,7 +23,10 @@ Checks, in order:
   * decisions: every "observe" decision's level is recomputed from its
     archived sample + the report's thresholds + the stage's budget,
     replaying the evaluator's judgment (including the budget override);
-    pause counts must match the decision stream.
+    pause counts must match the decision stream;
+  * evidence: a completed stage holds at least one ok "observe"
+    between its last "batch_done" and its "complete" decision — a
+    soak of failed scrapes alone is no evidence.
 
 Usage:
   scripts/check_release_report.py RELEASE_report.json \
@@ -202,6 +205,22 @@ def check_stage(stage, slo, emit):
             f"stream records {pauses_seen} pause(s)"
         )
         findings += 1
+
+    if stage["outcome"] == "completed":
+        decisions = stage.get("decisions", [])
+        actions = [d["action"] for d in decisions]
+        start = max((i for i, a in enumerate(actions) if a == "batch_done"),
+                    default=-1)
+        end = actions.index("complete") if "complete" in actions \
+            else len(actions)
+        soak = decisions[start + 1:end]
+        if not any(d["action"] == "observe" and d["level"] == "ok"
+                   for d in soak):
+            emit(
+                f"stage {name}: completed with no ok observation after "
+                f"its last batch ({len(soak)} soak decision(s))"
+            )
+            findings += 1
     return findings
 
 

@@ -238,6 +238,22 @@ def test_pause_count_must_match_decisions():
                for f in findings), findings
 
 
+def test_completion_needs_an_ok_soak_sample():
+    def decision(action, reason=""):
+        return {"t_ms": 200.0, "action": action, "level": "ok",
+                "reason": reason}
+    blind_soak = stage(decisions=[
+        observe(),
+        decision("batch_done"),
+        decision("scrape_failure", "scrape timed out"),
+        decision("scrape_failure", "scrape timed out"),
+        decision("complete"),
+    ])
+    n, findings = run_check(report(blind_soak), "completed")
+    assert n == 1, findings
+    assert "no ok observation after its last batch" in findings[0]
+
+
 def test_rolled_back_requires_skipped_tail():
     rb = stage(name="edge/pop0", outcome="rolled_back",
                hosts_rolled_back=2,

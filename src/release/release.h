@@ -10,8 +10,13 @@
 //  * Zero Downtime Release — Socket Takeover spins the updated
 //    instance in parallel; the host keeps serving throughout.
 //
-// The controller runs on a driver thread and blocks; hosts expose an
-// asynchronous restart that reports completion.
+// runRollingRelease is the plain, ungated batch loop (the Fig 3 drill).
+// ReleaseController (release_controller.h) is the one stateful
+// orchestrator: SLO-gated stages, pause, rollback. Both size batches
+// with batchSize() and restart through restartAndWait().
+//
+// Both block the calling thread, which must not be an event-loop
+// thread; hosts expose an asynchronous restart that reports completion.
 #pragma once
 
 #include <chrono>
@@ -58,6 +63,20 @@ struct RollingReleaseReport {
   // rolling further on top of an unhealthy fleet compounds the damage.
   std::vector<std::string> stuckHosts;
 };
+
+// Hosts per batch: ceil(n × fraction), the fraction clamped to
+// [0.01, 1], never fewer than one host.
+[[nodiscard]] size_t batchSize(size_t n, double fraction);
+
+// The one restart-and-wait primitive. Begins a restart of every host in
+// `hosts`, then polls: sleep `pollInterval`, call `onTick` (if set),
+// check completion, check `timeout`. Returns the hosts whose restart
+// was still incomplete at the timeout; empty means every restart
+// completed. Blocking, like the loops built on it.
+std::vector<RestartableHost*> restartAndWait(
+    const std::vector<RestartableHost*>& hosts, Strategy strategy,
+    std::chrono::milliseconds timeout, std::chrono::milliseconds pollInterval,
+    const std::function<void()>& onTick = {});
 
 // Blocking: rolls the update across `hosts` in batches. Call from a
 // driver thread, never from an event-loop thread.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -503,35 +502,6 @@ void ReleaseController::observe(StageSpec& spec, StageRun& run,
   }
 }
 
-bool ReleaseController::restartBatchAndWait(
-    StageSpec& spec, const std::vector<RestartableHost*>& batch,
-    StageRun& run, StageReport& out) {
-  for (auto* h : batch) {
-    emit("controller_restart " + h->hostName());
-    h->beginRestart(opts_.strategy);
-  }
-  Stopwatch sw;
-  const double limit =
-      std::chrono::duration<double>(opts_.perBatchTimeout).count();
-  while (true) {
-    std::this_thread::sleep_for(opts_.scrapeInterval);
-    observe(spec, run, out);
-    bool all = true;
-    for (auto* h : batch) {
-      if (!h->restartComplete()) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      return true;
-    }
-    if (sw.seconds() > limit) {
-      return false;
-    }
-  }
-}
-
 bool ReleaseController::pauseAndAwaitRecovery(StageSpec& spec, StageRun& run,
                                               StageReport& out) {
   record(out, "pause", SloLevel::kSoft, run.breachReason);
@@ -573,53 +543,53 @@ void ReleaseController::rollbackStage(StageSpec& spec, size_t idx,
   // stay on the new version (they soaked clean).
   for (auto* h : run.released) {
     emit("controller_rollback_restart " + h->hostName());
-    h->beginRestart(opts_.strategy);
   }
-  Stopwatch sw;
-  const double limit =
-      std::chrono::duration<double>(opts_.perBatchTimeout).count();
-  bool converged = run.released.empty();
-  while (!converged) {
-    std::this_thread::sleep_for(Duration{10});
-    converged = true;
-    for (auto* h : run.released) {
-      if (!h->restartComplete()) {
-        converged = false;
-        break;
-      }
-    }
-    if (!converged && sw.seconds() > limit) {
-      break;
-    }
+  const bool converged = restartAndWait(run.released, opts_.strategy,
+                                        opts_.perBatchTimeout, Duration{10})
+                             .empty();
+  if (!converged) {
+    abortStage(spec, out, "rollback restart timed out");
+    return;
   }
   stopRollout_ = true;
-  if (converged) {
-    out.outcome = StageOutcome::kRolledBack;
-    out.hostsRolledBack = run.released.size();
-    report_.hostsRolledBack += run.released.size();
-    bump("release.controller.hosts_rolled_back", run.released.size());
-    record(out, "rollback_done", SloLevel::kOk, "");
-    emit("controller_rollback_done " + spec.name);
-    report_.outcome = RolloutOutcome::kRolledBack;
-  } else {
-    out.outcome = StageOutcome::kAborted;
-    record(out, "abort", SloLevel::kHard, "rollback restart timed out");
-    emit("controller_abort " + spec.name);
-    bump("release.controller.aborts");
-    report_.outcome = RolloutOutcome::kAborted;
+  out.outcome = StageOutcome::kRolledBack;
+  out.hostsRolledBack = run.released.size();
+  report_.hostsRolledBack += run.released.size();
+  bump("release.controller.hosts_rolled_back", run.released.size());
+  record(out, "rollback_done", SloLevel::kOk, "");
+  emit("controller_rollback_done " + spec.name);
+  report_.outcome = RolloutOutcome::kRolledBack;
+}
+
+void ReleaseController::abortStage(const StageSpec& spec, StageReport& out,
+                                   const std::string& reason) {
+  out.outcome = StageOutcome::kAborted;
+  record(out, "abort", SloLevel::kHard, reason);
+  emit("controller_abort " + spec.name);
+  bump("release.controller.aborts");
+  report_.outcome = RolloutOutcome::kAborted;
+  stopRollout_ = true;
+}
+
+ReleaseController::Breach ReleaseController::handleBreach(StageSpec& spec,
+                                                          size_t idx,
+                                                          StageRun& run,
+                                                          StageReport& out) {
+  if (!run.hardPending && !run.softPending) {
+    return Breach::kNone;
   }
+  if (!run.hardPending && pauseAndAwaitRecovery(spec, run, out)) {
+    return Breach::kResumed;
+  }
+  rollbackStage(spec, idx, run, out);
+  return Breach::kRolledBack;
 }
 
 void ReleaseController::runStage(StageSpec& spec, size_t idx,
                                  StageReport& out) {
-  Stopwatch stageClock;
-  out.name = spec.name;
-  out.tier = spec.tier;
-  out.pop = spec.pop;
   for (auto* h : spec.hosts) {
     out.hosts.push_back(h->hostName());
   }
-  out.budget = spec.budget;
   emit("controller_stage_start " + spec.name);
   bump("release.controller.stages_started");
   if (opts_.onStageStart) {
@@ -647,39 +617,36 @@ void ReleaseController::runStage(StageSpec& spec, size_t idx,
   if (!haveBaseline) {
     // Nothing was restarted yet, so there is nothing to roll back —
     // but continuing blind is not an option either.
-    out.outcome = StageOutcome::kAborted;
-    record(out, "abort", SloLevel::kHard, "baseline scrape unreachable");
-    emit("controller_abort " + spec.name);
-    bump("release.controller.aborts");
-    report_.outcome = RolloutOutcome::kAborted;
-    stopRollout_ = true;
-    out.seconds = stageClock.seconds();
+    abortStage(spec, out, "baseline scrape unreachable");
     return;
   }
   run.evaluator.setBaseline(snap);
   out.baseline = run.evaluator.baseline();
   record(out, "baseline", SloLevel::kOk, "");
 
-  const size_t batchSize = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(static_cast<double>(spec.hosts.size()) *
-                       std::clamp(spec.batchFraction, 0.01, 1.0))));
+  // The first batch is the stage's canary: nothing else restarts until
+  // it has come back under observation and passed the breach checks.
+  const size_t size = batchSize(spec.hosts.size(), spec.batchFraction);
   size_t next = 0;
   while (next < spec.hosts.size()) {
-    size_t end = std::min(next + batchSize, spec.hosts.size());
+    size_t end = std::min(next + size, spec.hosts.size());
     std::vector<RestartableHost*> batch(spec.hosts.begin() + next,
                                         spec.hosts.begin() + end);
     record(out, "batch_start", SloLevel::kOk,
            "hosts " + std::to_string(next) + ".." + std::to_string(end - 1));
     bump("release.controller.batches");
-    if (!restartBatchAndWait(spec, batch, run, out)) {
-      out.outcome = StageOutcome::kAborted;
-      record(out, "abort", SloLevel::kHard, "batch restart timed out");
-      emit("controller_abort " + spec.name);
-      bump("release.controller.aborts");
-      report_.outcome = RolloutOutcome::kAborted;
-      stopRollout_ = true;
-      out.seconds = stageClock.seconds();
+    for (auto* h : batch) {
+      emit("controller_restart " + h->hostName());
+    }
+    auto stuck = restartAndWait(batch, opts_.strategy, opts_.perBatchTimeout,
+                                opts_.scrapeInterval,
+                                [&] { observe(spec, run, out); });
+    if (!stuck.empty()) {
+      std::string reason = "batch restart timed out:";
+      for (auto* h : stuck) {
+        reason += " " + h->hostName();
+      }
+      abortStage(spec, out, reason);
       return;
     }
     run.released.insert(run.released.end(), batch.begin(), batch.end());
@@ -690,14 +657,7 @@ void ReleaseController::runStage(StageSpec& spec, size_t idx,
     record(out, "batch_done", SloLevel::kOk, "");
     next = end;
 
-    if (run.hardPending) {
-      rollbackStage(spec, idx, run, out);
-      out.seconds = stageClock.seconds();
-      return;
-    }
-    if (run.softPending && !pauseAndAwaitRecovery(spec, run, out)) {
-      rollbackStage(spec, idx, run, out);
-      out.seconds = stageClock.seconds();
+    if (handleBreach(spec, idx, run, out) == Breach::kRolledBack) {
       return;
     }
 
@@ -718,21 +678,15 @@ void ReleaseController::runStage(StageSpec& spec, size_t idx,
         std::this_thread::sleep_for(opts_.scrapeInterval);
         observe(spec, run, out);
         gateScrapes++;
-        if (run.hardPending) {
-          rollbackStage(spec, idx, run, out);
-          out.seconds = stageClock.seconds();
-          return;
-        }
-        if (!run.softPending && gateScrapes > gateLimit) {
+        if (!run.hardPending && !run.softPending && gateScrapes > gateLimit) {
           run.softPending = true;
           run.breachReason = "inter-batch gate not converging";
         }
-        if (run.softPending) {
-          if (!pauseAndAwaitRecovery(spec, run, out)) {
-            rollbackStage(spec, idx, run, out);
-            out.seconds = stageClock.seconds();
-            return;
-          }
+        const Breach b = handleBreach(spec, idx, run, out);
+        if (b == Breach::kRolledBack) {
+          return;
+        }
+        if (b == Breach::kResumed) {
           // A resume required confirmScrapes consecutive Ok samples —
           // the fleet is demonstrably converged; the gate is satisfied.
           break;
@@ -743,33 +697,28 @@ void ReleaseController::runStage(StageSpec& spec, size_t idx,
   }
 
   // Soak: the stage completes only after stageSoakScrapes consecutive
-  // clean samples with the whole stage on the new version.
+  // clean samples with the whole stage on the new version. A failed
+  // scrape is no sample: it neither extends nor breaks the streak
+  // (flying blind has its own limit, maxScrapeFailures).
   int okStreak = 0;
   while (okStreak < opts_.stageSoakScrapes) {
     std::this_thread::sleep_for(opts_.scrapeInterval);
     observe(spec, run, out);
-    if (run.hardPending) {
-      rollbackStage(spec, idx, run, out);
-      out.seconds = stageClock.seconds();
+    const Breach b = handleBreach(spec, idx, run, out);
+    if (b == Breach::kRolledBack) {
       return;
     }
-    if (run.softPending) {
-      if (!pauseAndAwaitRecovery(spec, run, out)) {
-        rollbackStage(spec, idx, run, out);
-        out.seconds = stageClock.seconds();
-        return;
-      }
+    if (b == Breach::kResumed) {
       okStreak = 0;
-      continue;
+    } else if (run.consecutiveScrapeFailures == 0) {
+      okStreak = run.lastLevel == SloLevel::kOk ? okStreak + 1 : 0;
     }
-    okStreak = run.lastLevel == SloLevel::kOk ? okStreak + 1 : 0;
   }
 
   out.outcome = StageOutcome::kCompleted;
   record(out, "complete", SloLevel::kOk, "");
   emit("controller_stage_complete " + spec.name);
   bump("release.controller.stages_completed");
-  out.seconds = stageClock.seconds();
 }
 
 ReleaseControllerReport ReleaseController::run() {
@@ -779,15 +728,17 @@ ReleaseControllerReport ReleaseController::run() {
   emit("controller_start");
   for (size_t i = 0; i < stages_.size(); ++i) {
     StageReport& out = report_.stages[i];
+    out.name = stages_[i].name;
+    out.tier = stages_[i].tier;
+    out.pop = stages_[i].pop;
+    out.budget = stages_[i].budget;
     if (stopRollout_) {
-      out.name = stages_[i].name;
-      out.tier = stages_[i].tier;
-      out.pop = stages_[i].pop;
-      out.budget = stages_[i].budget;
       out.outcome = StageOutcome::kSkipped;
       continue;
     }
+    Stopwatch stageClock;
     runStage(stages_[i], i, out);
+    out.seconds = stageClock.seconds();
   }
   for (StageReport& st : report_.stages) {
     st.withinBudget = st.consumed.clientErrors <= st.budget.maxClientErrors &&

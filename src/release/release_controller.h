@@ -1,13 +1,20 @@
-// Fleet-scale release controller: SLO-gated staged rollouts.
-//
-// MonitoredRelease gates batches on an in-process callback; real
-// release tooling sits *outside* the fleet and decides from scraped
-// signals alone (§5.1's "health of the service … monitored during the
-// release phase"). This controller drives a staged, multi-tier,
-// multi-PoP rollout — one stage per (tier, PoP), edge tier before
-// origin tier — where every continue / pause / rollback decision comes
-// from /__stats scrapes evaluated by an SloEvaluator against a
+// Fleet-scale release controller: SLO-gated staged rollouts, and the
+// repo's one stateful release orchestrator (§5.1's "health of the
+// service … monitored during the release phase", with rollback of a
+// regressing release). Release tooling sits *outside* the fleet and
+// decides from scraped signals alone. This controller drives a staged,
+// multi-tier, multi-PoP rollout — one stage per (tier, PoP), edge tier
+// before origin tier — where every continue / pause / rollback decision
+// comes from /__stats scrapes evaluated by an SloEvaluator against a
 // baseline captured at stage entry.
+//
+// Canary: the first batch of every stage (sized by
+// StageSpec::batchFraction) restarts alone and is observed while it
+// restarts; a confirmed breach rolls back just that batch before any
+// other host is touched. The StatsSource is the health gate.
+//
+// Batches restart through release::restartAndWait (release.h), the
+// same primitive the plain runRollingRelease loop uses.
 //
 // Stage state machine:
 //
@@ -182,8 +189,9 @@ struct ReleaseControllerOptions {
   // Consecutive breaching scrapes before the controller acts, and
   // consecutive Ok scrapes before a paused stage resumes.
   int confirmScrapes = 2;
-  // Ok scrapes required after the last batch before the stage
-  // completes (the canary-soak analogue, measured not slept).
+  // Consecutive Ok samples required after the last batch before the
+  // stage completes (measured, not slept). A failed scrape is no
+  // sample: it neither counts toward nor resets the streak.
   int stageSoakScrapes = 3;
   // Scrapes a paused stage waits for recovery before escalating the
   // soft breach to a rollback.
@@ -222,17 +230,21 @@ class ReleaseController {
   // One scrape → sample → verdict → recorded decision; updates the
   // stage's debounce counters, budget consumption and pending flags.
   void observe(StageSpec& spec, StageRun& run, StageReport& out);
-  // Restarts `batch` and observes until every host reports complete.
-  // False ⇒ perBatchTimeout expired (stage must abort).
-  bool restartBatchAndWait(StageSpec& spec,
-                           const std::vector<RestartableHost*>& batch,
-                           StageRun& run, StageReport& out);
   // Paused stage waiting for recovery. True ⇒ resumed; false ⇒ the
   // breach persisted (or hardened) and the stage must roll back.
   bool pauseAndAwaitRecovery(StageSpec& spec, StageRun& run,
                              StageReport& out);
   void rollbackStage(StageSpec& spec, size_t idx, StageRun& run,
                      StageReport& out);
+  // What a pending breach led to at a safe point.
+  enum class Breach : uint8_t { kNone, kResumed, kRolledBack };
+  // Hard pending ⇒ roll back; soft pending ⇒ pause, then resume or
+  // (breach hardened, grace exhausted) roll back.
+  Breach handleBreach(StageSpec& spec, size_t idx, StageRun& run,
+                      StageReport& out);
+  // Stage ends kAborted and the rollout stops.
+  void abortStage(const StageSpec& spec, StageReport& out,
+                  const std::string& reason);
   void record(StageReport& out, const std::string& action, SloLevel level,
               const std::string& reason, const SloSample* sample = nullptr);
   void emit(const std::string& event);

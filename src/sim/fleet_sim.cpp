@@ -234,139 +234,6 @@ FaultSweepResult simulateReleaseUnderFaults(const FaultModelParams& p) {
   return r;
 }
 
-StagedRolloutResult simulateStagedRollout(const StagedRolloutParams& p) {
-  std::mt19937_64 rng(p.seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-
-  StagedRolloutResult r;
-  r.stages = p.tiers * p.pops;
-  double tSeconds = 0;
-
-  // One scrape verdict: 0 = ok, 1 = soft, 2 = hard. Mirrors
-  // SloLevel{kOk,kSoft,kHard} without dragging the release library in.
-  auto drawVerdict = [&](bool regressing) -> int {
-    ++r.scrapes;
-    if (regressing) {
-      double u = unit(rng);
-      if (u < p.regressHardProb) {
-        return 2;
-      }
-      if (u < p.regressHardProb + p.regressSoftProb) {
-        return 1;
-      }
-      return 0;
-    }
-    return unit(rng) < p.transientSoftProb ? 1 : 0;
-  };
-
-  const auto scrapesPerBatch = static_cast<size_t>(std::max(
-      1.0, p.batchSeconds / std::max(p.scrapeIntervalSeconds, 1e-9)));
-
-  bool stopRollout = false;
-  size_t stageIdx = 0;
-  // Rollout order matches the controller: whole edge tier across every
-  // PoP, then the origin tier. Tiers after a rollback still iterate so
-  // their stages are counted as skipped, like the controller's report.
-  for (size_t tier = 0; tier < p.tiers; ++tier) {
-    for (size_t pop = 0; pop < p.pops; ++pop, ++stageIdx) {
-      if (stopRollout) {
-        ++r.stagesSkipped;
-        continue;
-      }
-      const bool regressing = stageIdx >= p.regressingStage;
-      size_t hostsLeft = p.hostsPerTierPerPop;
-      const auto batchHosts = static_cast<size_t>(std::max(
-          1.0, std::ceil(static_cast<double>(p.hostsPerTierPerPop) *
-                         p.batchFraction)));
-      size_t released = 0;
-      int consecutiveSoft = 0;
-      int consecutiveHard = 0;
-      int consecutiveOk = 0;
-      bool rolledBack = false;
-
-      // A breach only means anything once the suspect binary serves.
-      auto observe = [&](bool stageLive) -> int {
-        tSeconds += p.scrapeIntervalSeconds;
-        int v = drawVerdict(regressing && stageLive);
-        if (v == 0) {
-          ++consecutiveOk;
-          consecutiveSoft = 0;
-          consecutiveHard = 0;
-        } else {
-          consecutiveOk = 0;
-          ++consecutiveSoft;  // hard counts toward soft, as live
-          consecutiveHard = v == 2 ? consecutiveHard + 1 : 0;
-        }
-        return v;
-      };
-      auto rollback = [&] {
-        // Re-restarting the released hosts takes one more batch round.
-        tSeconds += p.batchSeconds;
-        r.hostsRolledBack += released;
-        ++r.stagesRolledBack;
-        rolledBack = true;
-        stopRollout = true;
-      };
-      // True ⇒ recovered within grace; false ⇒ escalate to rollback.
-      auto pauseAndWait = [&] {
-        ++r.pauses;
-        consecutiveOk = 0;
-        for (int g = 0; g < p.pauseGraceScrapes; ++g) {
-          observe(true);
-          if (consecutiveHard >= p.confirmScrapes) {
-            return false;
-          }
-          if (consecutiveOk >= p.confirmScrapes) {
-            return true;
-          }
-        }
-        return false;
-      };
-
-      while (hostsLeft > 0 && !rolledBack) {
-        size_t batch = std::min(batchHosts, hostsLeft);
-        for (size_t s = 0; s < scrapesPerBatch; ++s) {
-          observe(released > 0);
-        }
-        hostsLeft -= batch;
-        released += batch;
-        r.hostsReleased += batch;
-        if (consecutiveHard >= p.confirmScrapes) {
-          rollback();
-        } else if (consecutiveSoft >= p.confirmScrapes && !pauseAndWait()) {
-          rollback();
-        }
-      }
-      if (rolledBack) {
-        continue;
-      }
-
-      int okStreak = 0;
-      while (okStreak < p.stageSoakScrapes && !rolledBack) {
-        int v = observe(true);
-        if (consecutiveHard >= p.confirmScrapes) {
-          rollback();
-        } else if (consecutiveSoft >= p.confirmScrapes) {
-          if (pauseAndWait()) {
-            okStreak = 0;
-          } else {
-            rollback();
-          }
-        } else {
-          okStreak = v == 0 ? okStreak + 1 : 0;
-        }
-      }
-      if (!rolledBack) {
-        ++r.stagesCompleted;
-      }
-    }
-  }
-
-  r.totalHours = tSeconds / 3600.0;
-  r.completed = r.stagesCompleted == r.stages;
-  return r;
-}
-
 double tailLatencyInflation(double offeredLoad, double capacityFraction) {
   // Single-queue approximation: p99 sojourn time scales with
   // 1/(1-utilization). utilization = offeredLoad / capacityFraction.

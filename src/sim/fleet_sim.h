@@ -150,55 +150,6 @@ struct FaultSweepResult {
 
 FaultSweepResult simulateReleaseUnderFaults(const FaultModelParams& params);
 
-// ------------------------------------------------- staged-rollout control
-
-// Analytic companion to release::ReleaseController: the same staged
-// state machine (stage per tier×PoP, batches, confirm-debounced
-// soft-pause / hard-rollback, soak) driven by a virtual clock and a
-// probabilistic SLO signal instead of live scrapes. Used to sweep
-// controller knobs (confirm windows, scrape cadence, batch sizes) at
-// fleet scale — hundreds of PoPs, multi-hour rollouts — where the
-// socket testbed cannot go. Vocabulary deliberately matches the
-// controller so sweeps and E2E runs read the same way.
-struct StagedRolloutParams {
-  size_t pops = 10;
-  size_t tiers = 2;  // edge tier rolls before origin tier
-  size_t hostsPerTierPerPop = 20;
-  double batchFraction = 0.5;
-  double scrapeIntervalSeconds = 30;
-  double batchSeconds = 120;  // restart + drain for one batch
-  int confirmScrapes = 2;
-  int stageSoakScrapes = 3;
-  int pauseGraceScrapes = 20;
-
-  // Per-scrape probability of a transient soft breach while healthy
-  // (metric noise the debounce must absorb).
-  double transientSoftProb = 0;
-  // First stage (0-based, rollout order) at which the binary truly
-  // regresses; SIZE_MAX ⇒ clean binary. While a regressing stage has
-  // released hosts, each scrape breaches with these probabilities.
-  size_t regressingStage = SIZE_MAX;
-  double regressSoftProb = 0.9;
-  double regressHardProb = 0.5;
-
-  uint64_t seed = 42;
-};
-
-struct StagedRolloutResult {
-  size_t stages = 0;
-  size_t stagesCompleted = 0;
-  size_t stagesRolledBack = 0;
-  size_t stagesSkipped = 0;
-  size_t hostsReleased = 0;
-  size_t hostsRolledBack = 0;
-  uint64_t scrapes = 0;
-  size_t pauses = 0;
-  double totalHours = 0;
-  bool completed = false;  // whole rollout finished without rollback
-};
-
-StagedRolloutResult simulateStagedRollout(const StagedRolloutParams& params);
-
 // ------------------------------------------------- latency-vs-capacity
 
 // M/M/c-style tail latency inflation when capacity drops (the §2.5

@@ -49,6 +49,18 @@ class CountingHost : public RestartableHost {
   std::atomic<int> restarts_{0};
 };
 
+// Accepts a restart and never completes it.
+class StuckHost : public RestartableHost {
+ public:
+  explicit StuckHost(std::string name) : name_(std::move(name)) {}
+  [[nodiscard]] std::string hostName() const override { return name_; }
+  void beginRestart(Strategy) override {}
+  [[nodiscard]] bool restartComplete() const override { return false; }
+
+ private:
+  std::string name_;
+};
+
 // Produces one StatsSnapshot per scrape from a script function of the
 // 0-based scrape index (baseline included).
 class ScriptedStatsSource : public StatsSource {
@@ -103,6 +115,17 @@ std::vector<RestartableHost*> raw(
   return out;
 }
 
+StageSpec edgeStage(std::vector<RestartableHost*> hosts, StatsSource* src) {
+  StageSpec stage;
+  stage.name = "edge/pop0";
+  stage.tier = "edge";
+  stage.pop = "pop0";
+  stage.hosts = std::move(hosts);
+  stage.stats = src;
+  stage.signals = loadSignals();
+  return stage;
+}
+
 ReleaseControllerOptions fastOptions() {
   ReleaseControllerOptions opts;
   opts.scrapeInterval = Duration{2};
@@ -122,14 +145,8 @@ TEST(ReleaseControllerTest, CleanRolloutCompletesAllStages) {
     return true;
   });
 
-  StageSpec edgeStage;
-  edgeStage.name = "edge/pop0";
-  edgeStage.tier = "edge";
-  edgeStage.pop = "pop0";
-  edgeStage.hosts = raw(edges);
-  edgeStage.stats = &src;
-  edgeStage.signals = loadSignals();
-  StageSpec originStage = edgeStage;
+  StageSpec edge = edgeStage(raw(edges), &src);
+  StageSpec originStage = edge;
   originStage.name = "origin/pop0";
   originStage.tier = "origin";
   originStage.hosts = raw(origins);
@@ -137,7 +154,7 @@ TEST(ReleaseControllerTest, CleanRolloutCompletesAllStages) {
   MetricsRegistry metrics;
   auto opts = fastOptions();
   opts.metrics = &metrics;
-  ReleaseController ctl({edgeStage, originStage}, opts);
+  ReleaseController ctl({edge, originStage}, opts);
   auto report = ctl.run();
 
   EXPECT_EQ(report.outcome, RolloutOutcome::kCompleted);
@@ -175,13 +192,7 @@ TEST(ReleaseControllerTest, ConfirmedSoftBreachPausesThenResumes) {
     return true;
   });
 
-  StageSpec stage;
-  stage.name = "edge/pop0";
-  stage.tier = "edge";
-  stage.pop = "pop0";
-  stage.hosts = raw(hosts);
-  stage.stats = &src;
-  stage.signals = loadSignals();
+  StageSpec stage = edgeStage(raw(hosts), &src);
 
   ReleaseController ctl({stage}, fastOptions());
   auto report = ctl.run();
@@ -233,13 +244,9 @@ TEST(ReleaseControllerTest, HardBreachRollsBackOffendingStageOnly) {
   auto mkStage = [](const char* name, const char* tier,
                     std::vector<RestartableHost*> hosts,
                     StatsSource* src) {
-    StageSpec s;
+    StageSpec s = edgeStage(std::move(hosts), src);
     s.name = name;
     s.tier = tier;
-    s.pop = "pop0";
-    s.hosts = std::move(hosts);
-    s.stats = src;
-    s.signals = loadSignals();
     // This test exercises the SLO threshold path, not the budget path.
     s.budget.maxClientErrors = 1e9;
     return s;
@@ -270,9 +277,12 @@ TEST(ReleaseControllerTest, HardBreachRollsBackOffendingStageOnly) {
   for (auto& h : edges) {
     EXPECT_EQ(h->restarts(), 1);
   }
+  // Every released origin came back (2 restarts); none was left
+  // half-way (1 would be released but not rolled back).
   int rolledBack = 0;
   for (auto& h : origins) {
-    EXPECT_LE(h->restarts(), 2);
+    EXPECT_TRUE(h->restarts() == 0 || h->restarts() == 2)
+        << h->hostName() << " restarted " << h->restarts() << " times";
     if (h->restarts() == 2) {
       ++rolledBack;
     }
@@ -310,13 +320,7 @@ TEST(ReleaseControllerTest, BudgetBurnActsWithoutDebounce) {
     return true;
   });
 
-  StageSpec stage;
-  stage.name = "edge/pop0";
-  stage.tier = "edge";
-  stage.pop = "pop0";
-  stage.hosts = raw(hosts);
-  stage.stats = &src;
-  stage.signals = loadSignals();
+  StageSpec stage = edgeStage(raw(hosts), &src);
   ASSERT_EQ(stage.budget.maxClientErrors, 0.0);
 
   ReleaseController ctl({stage}, fastOptions());
@@ -350,13 +354,7 @@ TEST(ReleaseControllerTest, FlyingBlindRollsBack) {
     return false;
   });
 
-  StageSpec stage;
-  stage.name = "edge/pop0";
-  stage.tier = "edge";
-  stage.pop = "pop0";
-  stage.hosts = raw(hosts);
-  stage.stats = &src;
-  stage.signals = loadSignals();
+  StageSpec stage = edgeStage(raw(hosts), &src);
 
   ReleaseController ctl({stage}, fastOptions());
   auto report = ctl.run();
@@ -381,13 +379,7 @@ TEST(ReleaseControllerTest, BaselineUnreachableAbortsBeforeTouchingHosts) {
     err = "refused";
     return false;
   });
-  StageSpec stage;
-  stage.name = "edge/pop0";
-  stage.tier = "edge";
-  stage.pop = "pop0";
-  stage.hosts = raw(hosts);
-  stage.stats = &src;
-  stage.signals = loadSignals();
+  StageSpec stage = edgeStage(raw(hosts), &src);
 
   ReleaseController ctl({stage}, fastOptions());
   auto report = ctl.run();
@@ -405,13 +397,7 @@ TEST(ReleaseControllerTest, ReportJsonReconstructsDecisions) {
     out = healthySnap(call);
     return true;
   });
-  StageSpec stage;
-  stage.name = "edge/pop0";
-  stage.tier = "edge";
-  stage.pop = "pop0";
-  stage.hosts = raw(hosts);
-  stage.stats = &src;
-  stage.signals = loadSignals();
+  StageSpec stage = edgeStage(raw(hosts), &src);
 
   ReleaseController ctl({stage}, fastOptions());
   auto report = ctl.run();
@@ -438,6 +424,151 @@ TEST(ReleaseControllerTest, ReportJsonReconstructsDecisions) {
     }
   }
   EXPECT_TRUE(sawObserveWithSample);
+}
+
+TEST(ReleaseControllerTest, FirstBatchBreachRollsBackOnlyTheCanary) {
+  auto hosts = makeHosts(5, "e");
+  // Client errors from the first scrape after the baseline: the canary
+  // batch's restart already burns the default zero-error budget.
+  ScriptedStatsSource src([](size_t call, stats::StatsSnapshot& out,
+                             std::string&) {
+    out = healthySnap(call);
+    if (call >= 1) {
+      out.counters["load.err_http"] = static_cast<double>(call);
+    }
+    return true;
+  });
+  StageSpec stage = edgeStage(raw(hosts), &src);
+  stage.batchFraction = 0.2;  // canary = 1 host
+  ASSERT_EQ(stage.budget.maxClientErrors, 0.0);
+
+  std::vector<std::string> events;
+  auto opts = fastOptions();
+  opts.onEvent = [&](const std::string& e) { events.push_back(e); };
+  ReleaseController ctl({stage}, opts);
+  auto report = ctl.run();
+
+  EXPECT_EQ(report.outcome, RolloutOutcome::kRolledBack);
+  const auto& st = report.stages[0];
+  EXPECT_EQ(st.outcome, StageOutcome::kRolledBack);
+  EXPECT_EQ(st.batchesCompleted, 1u);
+  EXPECT_EQ(st.hostsReleased, 1u);
+  EXPECT_EQ(st.hostsRolledBack, 1u);
+  EXPECT_EQ(hosts[0]->restarts(), 2);  // release + rollback
+  for (size_t i = 1; i < hosts.size(); ++i) {
+    EXPECT_EQ(hosts[i]->restarts(), 0) << hosts[i]->hostName();
+  }
+  // The cause travels with the event stream, not only the report.
+  bool sawCause = false;
+  for (const auto& e : events) {
+    if (e.rfind("controller_rollback edge/pop0: ", 0) == 0 &&
+        e.find("budget client_errors") != std::string::npos) {
+      sawCause = true;
+    }
+  }
+  EXPECT_TRUE(sawCause);
+}
+
+TEST(ReleaseControllerTest, IsolatedSoftScrapesDoNotPause) {
+  auto hosts = makeHosts(4, "e");
+  // Every third scrape is soft (p99 ×2.4), never two in a row: noise
+  // the confirm debounce must absorb.
+  ScriptedStatsSource src([](size_t call, stats::StatsSnapshot& out,
+                             std::string&) {
+    out = healthySnap(call);
+    if (call % 3 == 2) {
+      out.hist["load.latency_ms.p99"] = 60.0;
+    }
+    return true;
+  });
+
+  ReleaseController ctl({edgeStage(raw(hosts), &src)}, fastOptions());
+  auto report = ctl.run();
+
+  EXPECT_EQ(report.outcome, RolloutOutcome::kCompleted);
+  const auto& st = report.stages[0];
+  EXPECT_EQ(st.outcome, StageOutcome::kCompleted);
+  EXPECT_EQ(st.pauses, 0u);
+  EXPECT_EQ(st.hostsReleased, 4u);
+  size_t softSamples = 0;
+  for (const auto& d : st.decisions) {
+    if (d.action == "observe" && d.level == SloLevel::kSoft) {
+      ++softSamples;
+    }
+  }
+  EXPECT_GE(softSamples, 1u);
+}
+
+TEST(ReleaseControllerTest, SoakNeedsCleanSamplesNotFailedScrapes) {
+  auto hosts = makeHosts(4, "e");
+  // The baseline succeeds; after it only every third scrape does. Never
+  // three failures in a row, so the controller is never blind.
+  ScriptedStatsSource src([](size_t call, stats::StatsSnapshot& out,
+                             std::string& err) {
+    if (call != 0 && call % 3 != 0) {
+      err = "scrape timed out";
+      return false;
+    }
+    out = healthySnap(call);
+    return true;
+  });
+
+  const auto opts = fastOptions();
+  ReleaseController ctl({edgeStage(raw(hosts), &src)}, opts);
+  auto report = ctl.run();
+
+  ASSERT_EQ(report.outcome, RolloutOutcome::kCompleted);
+  const auto& decisions = report.stages[0].decisions;
+  ASSERT_FALSE(decisions.empty());
+  EXPECT_EQ(decisions.back().action, "complete");
+  size_t lastBatchDone = 0;
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    if (decisions[i].action == "batch_done") {
+      lastBatchDone = i;
+    }
+  }
+  int soakSamples = 0;
+  for (size_t i = lastBatchDone; i < decisions.size(); ++i) {
+    if (decisions[i].action == "observe" &&
+        decisions[i].level == SloLevel::kOk) {
+      ++soakSamples;
+    }
+  }
+  EXPECT_GE(soakSamples, opts.stageSoakScrapes);
+}
+
+TEST(ReleaseControllerTest, BatchTimeoutAbortsAndSkipsTheRest) {
+  auto first = makeHosts(1, "e");
+  StuckHost stuck("stuck");
+  auto second = makeHosts(2, "o");
+  ScriptedStatsSource src([](size_t call, stats::StatsSnapshot& out,
+                             std::string&) {
+    out = healthySnap(call);
+    return true;
+  });
+  StageSpec s1 = edgeStage({first[0].get(), &stuck}, &src);
+  s1.batchFraction = 1.0;  // one batch: a healthy host beside the stuck one
+  StageSpec s2 = edgeStage(raw(second), &src);
+  s2.name = "origin/pop0";
+  s2.tier = "origin";
+
+  auto opts = fastOptions();
+  opts.perBatchTimeout = Duration{50};
+  ReleaseController ctl({s1, s2}, opts);
+  auto report = ctl.run();
+
+  EXPECT_EQ(report.outcome, RolloutOutcome::kAborted);
+  ASSERT_EQ(report.stages.size(), 2u);
+  EXPECT_EQ(report.stages[0].outcome, StageOutcome::kAborted);
+  EXPECT_EQ(report.stages[1].outcome, StageOutcome::kSkipped);
+  EXPECT_EQ(report.stages[0].hostsReleased, 0u);
+  const auto& last = report.stages[0].decisions.back();
+  EXPECT_EQ(last.action, "abort");
+  // Only the host that never completed is named.
+  EXPECT_EQ(last.reason, "batch restart timed out: stuck");
+  for (auto& h : second) {
+    EXPECT_EQ(h->restarts(), 0);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 // Rolling-release controller semantics over instrumented fake hosts.
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -55,6 +56,18 @@ class FakeHost : public RestartableHost {
   std::atomic<int> restarts_{0};
   Strategy lastStrategy_ = Strategy::kHardRestart;
   int myStart_ = 0;
+};
+
+// Accepts a restart and never completes it.
+class StuckHost : public RestartableHost {
+ public:
+  explicit StuckHost(std::string name) : name_(std::move(name)) {}
+  [[nodiscard]] std::string hostName() const override { return name_; }
+  void beginRestart(Strategy) override {}
+  [[nodiscard]] bool restartComplete() const override { return false; }
+
+ private:
+  std::string name_;
 };
 
 TEST(RollingReleaseTest, RestartsEveryHostOnce) {
@@ -148,6 +161,28 @@ TEST(RollingReleaseTest, InterBatchGapAddsTime) {
   opts.interBatchGap = std::chrono::milliseconds(150);
   auto report = runRollingRelease(hosts, opts);
   EXPECT_GE(report.totalSeconds, 0.15);
+}
+
+TEST(RollingReleaseTest, StuckHostStopsTheRelease) {
+  FakeHost ok0("ok0", std::chrono::milliseconds(5));
+  StuckHost stuck("stuck");
+  FakeHost ok2("ok2", std::chrono::milliseconds(5));
+  FakeHost ok3("ok3", std::chrono::milliseconds(5));
+  std::vector<std::string> events;
+  RollingReleaseOptions opts;
+  opts.batchFraction = 0.25;  // one host per batch
+  opts.perBatchTimeout = std::chrono::milliseconds(50);
+  opts.onEvent = [&](const std::string& e) { events.push_back(e); };
+  auto report = runRollingRelease({&ok0, &stuck, &ok2, &ok3}, opts);
+
+  EXPECT_TRUE(report.timedOut);
+  EXPECT_EQ(report.stuckHosts, std::vector<std::string>{"stuck"});
+  EXPECT_EQ(report.batches, 2u);
+  EXPECT_EQ(ok0.restarts(), 1);
+  EXPECT_EQ(ok2.restarts(), 0);
+  EXPECT_EQ(ok3.restarts(), 0);
+  EXPECT_NE(std::find(events.begin(), events.end(), "host_stuck stuck"),
+            events.end());
 }
 
 }  // namespace

@@ -166,56 +166,6 @@ TEST(ReconnectCpuTest, ScalesLinearlyWithRestartFraction) {
   EXPECT_NEAR(f20, 2 * f10, 1e-9);
 }
 
-TEST(StagedRolloutSimTest, CleanRolloutCompletesEveryStage) {
-  StagedRolloutParams p;  // 10 PoPs × 2 tiers, clean binary
-  auto r = simulateStagedRollout(p);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.stages, p.pops * p.tiers);
-  EXPECT_EQ(r.stagesCompleted, r.stages);
-  EXPECT_EQ(r.stagesRolledBack, 0u);
-  EXPECT_EQ(r.stagesSkipped, 0u);
-  EXPECT_EQ(r.hostsReleased, p.pops * p.tiers * p.hostsPerTierPerPop);
-  EXPECT_EQ(r.hostsRolledBack, 0u);
-  EXPECT_GT(r.totalHours, 0.0);
-}
-
-TEST(StagedRolloutSimTest, RegressingStageRollsBackAndSkipsTheRest) {
-  StagedRolloutParams p;
-  p.regressingStage = 3;
-  auto r = simulateStagedRollout(p);
-  EXPECT_FALSE(r.completed);
-  EXPECT_EQ(r.stagesCompleted, 3u);
-  EXPECT_EQ(r.stagesRolledBack, 1u);
-  EXPECT_EQ(r.stagesSkipped, r.stages - 4);
-  // Only the regressing stage's hosts come back; completed stages keep
-  // the new binary.
-  EXPECT_LE(r.hostsRolledBack, p.hostsPerTierPerPop);
-  EXPECT_GE(r.hostsRolledBack, 1u);
-}
-
-TEST(StagedRolloutSimTest, DebounceAbsorbsTransientNoise) {
-  // 2% of scrapes soft-breach at random; confirmScrapes=2 means two in
-  // a row are needed — the rollout must ride through the noise.
-  StagedRolloutParams p;
-  p.transientSoftProb = 0.02;
-  p.confirmScrapes = 2;
-  auto r = simulateStagedRollout(p);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.stagesRolledBack, 0u);
-}
-
-TEST(StagedRolloutSimTest, DeterministicForSeed) {
-  StagedRolloutParams p;
-  p.transientSoftProb = 0.05;
-  p.regressingStage = 7;
-  auto a = simulateStagedRollout(p);
-  auto b = simulateStagedRollout(p);
-  EXPECT_EQ(a.scrapes, b.scrapes);
-  EXPECT_EQ(a.pauses, b.pauses);
-  EXPECT_EQ(a.hostsRolledBack, b.hostsRolledBack);
-  EXPECT_EQ(a.totalHours, b.totalHours);
-}
-
 TEST(TailLatencyTest, CapacityLossInflatesTail) {
   double base = tailLatencyInflation(0.7, 1.0);
   EXPECT_DOUBLE_EQ(base, 1.0);
