@@ -1,10 +1,13 @@
 // Ablation (DESIGN.md §5): L4 design choices the paper's §5.1 leans on.
 //  * Maglev vs ring consistent hashing: remap disruption when the L7
 //    set churns (a host drains, flaps, or returns).
-//  * LRU connection table on/off: how many established flows would be
-//    re-routed by a momentary health flap.
+//  * Per-flow record on/off: how many established flows would be
+//    re-routed by a momentary health flap if every packet were hashed
+//    afresh, against reading the backend from the flow's own record
+//    (what L4Balancer and UdpForwarder do).
+#include <unordered_map>
+
 #include "bench_util.h"
-#include "l4lb/conn_table.h"
 #include "l4lb/consistent_hash.h"
 #include "l4lb/hashing.h"
 
@@ -45,9 +48,9 @@ double remapOnRemoval(l4lb::ConsistentHash& hash,
 }  // namespace
 
 int main() {
-  bench::banner("Ablation — L4 consistent hashing and connection table",
+  bench::banner("Ablation — L4 consistent hashing and per-flow records",
                 "§5.1: momentary topology shuffles must not re-route "
-                "established flows; the LRU table absorbs them");
+                "established flows; the flow's own record absorbs them");
 
   const auto backends = makeBackends(100);
 
@@ -69,41 +72,41 @@ int main() {
   hash.rebuild(backends);
   constexpr size_t kFlows = 10000;
 
-  // Establish flows and pin them in an LRU table.
-  l4lb::ConnTable table(kFlows * 2);
+  // Establish flows; each records the backend it was opened onto.
   std::vector<std::pair<uint64_t, std::string>> flows;
   for (size_t k = 0; k < kFlows; ++k) {
     uint64_t key = l4lb::mix64(k + 99);
     flows.emplace_back(key, backends[*hash.pick(key)]);
-    table.insert(key, flows.back().second);
   }
   // Flap: one backend blips out.
   auto flapped = backends;
   flapped.erase(flapped.begin() + 42);
   hash.rebuild(flapped);
 
-  size_t movedNoTable = 0;
-  size_t movedWithTable = 0;
+  // The forwarders' lookup (UdpForwarder::flowFor): a live flow's own
+  // record wins; only a new flow asks the hash.
+  std::unordered_map<uint64_t, std::string> records(flows.begin(),
+                                                    flows.end());
+  auto route = [&](uint64_t key) {
+    auto it = records.find(key);
+    return it != records.end() ? it->second : flapped[*hash.pick(key)];
+  };
+
+  size_t movedNoRecord = 0;
+  size_t movedWithRecord = 0;
   for (auto& [key, original] : flows) {
-    std::string hashOnly = flapped[*hash.pick(key)];
-    if (hashOnly != original) {
-      ++movedNoTable;
+    if (flapped[*hash.pick(key)] != original) {
+      ++movedNoRecord;
     }
-    auto pinned = table.lookup(key);
-    std::string withTable = pinned ? *pinned : hashOnly;
-    if (withTable != original) {
-      ++movedWithTable;
+    if (route(key) != original) {
+      ++movedWithRecord;
     }
   }
-  bench::row("flows re-routed WITHOUT conn table",
-             static_cast<double>(movedNoTable), "");
-  bench::row("flows re-routed WITH LRU conn table",
-             static_cast<double>(movedWithTable), "");
-  bench::row("LRU hit rate",
-             100.0 * static_cast<double>(table.hits()) /
-                 static_cast<double>(table.hits() + table.misses()),
-             "%");
-  std::printf("(the paper's remediation: the table absorbs the flap "
+  bench::row("flows re-routed hashing every packet",
+             static_cast<double>(movedNoRecord), "");
+  bench::row("flows re-routed reading the flow's record",
+             static_cast<double>(movedWithRecord), "");
+  std::printf("(the paper's remediation: per-flow state absorbs the flap "
               "entirely)\n");
   return 0;
 }

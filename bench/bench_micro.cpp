@@ -1,15 +1,12 @@
 // Micro-benchmarks (google-benchmark) of the hot-path building blocks:
-// HTTP codec, trunk framing, MQTT codec, consistent hashing, LRU
-// connection table, fd passing.
+// HTTP codec, trunk framing, MQTT codec, consistent hashing, fd
+// passing.
 #include <benchmark/benchmark.h>
 
 #include "h2/frame.h"
 #include "http/codec.h"
-#include "l4lb/conn_table.h"
 #include "l4lb/consistent_hash.h"
-#include "l4lb/flow_table.h"
 #include "l4lb/hashing.h"
-#include "l4lb/othello_map.h"
 #include "metrics/metrics.h"
 #include "mqtt/codec.h"
 #include "netcore/fd_passing.h"
@@ -133,46 +130,6 @@ void BM_RingPick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingPick);
-
-void BM_ConnTableLookup(benchmark::State& state) {
-  zdr::l4lb::ConnTable table(8192);
-  for (uint64_t k = 0; k < 8192; ++k) {
-    table.insert(k, "backend");
-  }
-  uint64_t key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(key++ % 8192));
-  }
-}
-BENCHMARK(BM_ConnTableLookup);
-
-// Same working set as BM_ConnTableLookup, on the flat 24 B/slot table
-// the routing hot path actually uses now.
-void BM_FlowTableLookup(benchmark::State& state) {
-  zdr::l4lb::FlowTable table(8192);
-  for (uint64_t k = 0; k < 8192; ++k) {
-    table.insert(zdr::l4lb::mix64(k + 1), 7);
-  }
-  uint64_t key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(zdr::l4lb::mix64(key++ % 8192 + 1)));
-  }
-}
-BENCHMARK(BM_FlowTableLookup);
-
-void BM_OthelloPick(benchmark::State& state) {
-  std::vector<std::string> backends;
-  for (int i = 0; i < 100; ++i) {
-    backends.push_back("backend" + std::to_string(i));
-  }
-  zdr::l4lb::OthelloMap map;
-  map.rebuild(backends);
-  uint64_t key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.pick(zdr::l4lb::mix64(key++)));
-  }
-}
-BENCHMARK(BM_OthelloPick);
 
 void BM_FdPassing(benchmark::State& state) {
   auto [a, b] = zdr::unixSocketPair();

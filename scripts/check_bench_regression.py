@@ -50,14 +50,6 @@ METRICS = {
     "datagrams_per_sec": (+1, 5000.0),
     "syscalls_per_datagram": (-1, 0.05),
     "p99_burst_ms": (-1, 1.0),
-    # Million-flow L4 plane (bench_l4_scale). The latency floor is wide
-    # because single-lookup nanoseconds vary with runner CPU; a 10x
-    # blowup still trips it. bytes/flow is structural (slot size times
-    # pin count) and misroute_rate is zero-policed: the baseline is 0
-    # by construction, so ANY misroute during churn fails the gate.
-    "lookup_p99_ns": (-1, 250.0),
-    "bytes_per_flow": (-1, 2.0),
-    "misroute_rate": (-1, 0.0),
     # Reduced-copy relay plane (bench_relay). copy_bytes_per_req is
     # structural — a spliced tunnel cell copies ~0 bytes/record, so any
     # growth past the floor means payload re-entered userspace. The
@@ -90,8 +82,6 @@ KEY_FIELDS = (
     ("tracing", "tracing", True),
     ("udp_workers", "udp_workers", None),
     ("mode", "mode", None),
-    ("flows", "flows", None),
-    ("shards", "shards", None),
     ("splice", "splice", None),
     ("recorder", "recorder", True),
     ("family", "family", None),

@@ -21,17 +21,14 @@ done
 
 if [ "$SMOKE" = 1 ]; then
   export ZDR_BENCH_SMOKE=1
-  # Figure benches plus the gated structural benches: bench_l4_scale
-  # self-scales via ZDR_BENCH_SMOKE (32k flows instead of 1M) and its
-  # misroute gate is structural, so the smoke pass still verifies
-  # correctness-under-churn; bench_relay's 2x copy-bytes gate is
-  # structural the same way (spliced bytes never cross userspace);
+  # Figure benches plus the gated structural benches: bench_relay's 2x
+  # copy-bytes gate is structural (spliced bytes never cross userspace);
   # bench_release_controller gates on rollout outcomes (clean completes
   # with zero client errors, regressed rolls back), not timings;
   # bench_event_engine writes the idle-fleet and timer-heap cells its CI
   # regression gate reads, and skips its io_uring cells with a notice
   # when the kernel lacks the ring syscalls.
-  PATTERN="$BUILD/bench/bench_fig* $BUILD/bench/bench_l4_scale $BUILD/bench/bench_relay $BUILD/bench/bench_release_controller $BUILD/bench/bench_event_engine"
+  PATTERN="$BUILD/bench/bench_fig* $BUILD/bench/bench_relay $BUILD/bench/bench_release_controller $BUILD/bench/bench_event_engine"
 else
   PATTERN="$BUILD/bench/*"
 fi

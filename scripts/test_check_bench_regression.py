@@ -47,19 +47,6 @@ def udp_cell(**over):
     return cell
 
 
-def l4_cell(**over):
-    cell = {
-        "mode": "othello_hybrid",
-        "flows": 32768,
-        "shards": 2,
-        "lookup_p99_ns": 100.0,
-        "bytes_per_flow": 1.7,
-        "misroute_rate": 0.0,
-    }
-    cell.update(over)
-    return cell
-
-
 def relay_cell(**over):
     cell = {
         "mode": "tunnel_chain",
@@ -176,54 +163,6 @@ def test_cell_errors_are_a_finding():
     n, findings = run_check(bench(http_cell(errors=3)), bench(http_cell()))
     assert n == 1
     assert "request errors" in findings[0]
-
-
-def test_l4_cells_key_on_mode_flows_shards():
-    # Same metrics, different mode — must not match the baseline cell.
-    cur = bench(l4_cell(mode="maglev_lru"))
-    base = bench(l4_cell())
-    n, findings = run_check(cur, base)
-    assert n == 1
-    assert "missing from baseline" in findings[0]
-    assert "mode=maglev_lru" in findings[0]
-    assert "flows=32768" in findings[0] and "shards=2" in findings[0]
-
-
-def test_l4_lookup_p99_regression_detected():
-    # 100 -> 2000 ns: past both the 250 ns floor and the tolerance.
-    cur = bench(l4_cell(lookup_p99_ns=2000.0))
-    base = bench(l4_cell())
-    n, findings = run_check(cur, base)
-    assert n == 1
-    assert "lookup_p99_ns" in findings[0]
-
-
-def test_l4_lookup_p99_runner_noise_floor():
-    # +150 ns is +150% but under the 250 ns absolute floor: runner
-    # speed variance, not a regression.
-    cur = bench(l4_cell(lookup_p99_ns=250.0))
-    base = bench(l4_cell())
-    n, findings = run_check(cur, base)
-    assert n == 0, findings
-
-
-def test_l4_bytes_per_flow_regression_detected():
-    cur = bench(l4_cell(bytes_per_flow=24.0))
-    base = bench(l4_cell())
-    n, findings = run_check(cur, base)
-    assert n == 1
-    assert "bytes_per_flow" in findings[0]
-
-
-def test_l4_misroute_rate_zero_policed():
-    # Baseline is exactly 0; any nonzero misroute rate is a finding —
-    # there is no relative tolerance that excuses a misrouted flow.
-    cur = bench(l4_cell(misroute_rate=0.0001))
-    base = bench(l4_cell())
-    n, findings = run_check(cur, base)
-    assert n == 1
-    assert "misroute_rate" in findings[0]
-    assert "baseline is zero" in findings[0]
 
 
 def test_relay_cells_key_on_splice():

@@ -192,6 +192,12 @@ void ProxyHost::runZdrRestart() {
   }
   thread_.runSync([this] {
     std::lock_guard<std::mutex> lock(mutex_);
+    // quicish flows outlive the drain: the updated instance takes them
+    // over before the retired one (and its forward socket) is gone.
+    if (draining_ && active_ && draining_->quicServer() &&
+        active_->quicServer()) {
+      active_->quicServer()->adoptFlows(*draining_->quicServer());
+    }
     draining_.reset();
   });
   if (metrics_) {

@@ -93,10 +93,10 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
     }
     l4HttpVip_ = l4_->addVip("http", std::move(httpBackends), opts_.l4Options);
     if (opts_.enableMqtt) {
-      // MQTT VIP health-checks the edge's HTTP endpoint is not
-      // available on the MQTT port; probe connectivity via the HTTP
-      // checker against the same hosts instead.
+      // The MQTT port speaks no HTTP, so `GET /__health` would never
+      // pass there: probe it with a TCP connect (empty path) instead.
       l4lb::L4Balancer::Options mo = opts_.l4Options;
+      mo.health.path.clear();
       l4MqttVip_ = l4_->addVip("mqtt", std::move(mqttBackends), mo);
     }
   }

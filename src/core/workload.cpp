@@ -1,5 +1,7 @@
 #include "core/workload.h"
 
+#include <algorithm>
+
 namespace zdr::core {
 
 // ------------------------------------------------------------ HttpLoadGen
@@ -324,6 +326,16 @@ uint64_t QuicFlowGen::totalAcks() const {
     }
   });
   return total;
+}
+
+uint64_t QuicFlowGen::minFlowAcks() const {
+  uint64_t least = 0;
+  const_cast<QuicFlowGen*>(this)->thread_.runSync([this, &least] {
+    for (size_t i = 0; i < flows_.size(); ++i) {
+      least = i == 0 ? flows_[i]->acks() : std::min(least, flows_[i]->acks());
+    }
+  });
+  return least;
 }
 
 uint64_t QuicFlowGen::totalResets() const {

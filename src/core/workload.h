@@ -186,6 +186,9 @@ class QuicFlowGen {
   void start();
   void stop();
   [[nodiscard]] uint64_t totalAcks() const;
+  // Acks of the least-acked flow: stalls when any one flow is
+  // black-holed, however well the others do.
+  [[nodiscard]] uint64_t minFlowAcks() const;
   [[nodiscard]] uint64_t totalResets() const;
 
  private:

@@ -4,33 +4,14 @@
 
 namespace zdr::l4lb {
 
-// One spliced client↔backend flow.
+// One spliced client↔backend flow. Its backend connection is the pin:
+// nothing re-routes the flow once it is accepted.
 struct L4Balancer::Flow : std::enable_shared_from_this<L4Balancer::Flow> {
   ConnectionPtr client;
   ConnectionPtr backend;
-  uint64_t flowKey = 0;
   bool established = false;
   Buffer pendingClientData;  // bytes read before the backend connected
 };
-
-namespace {
-
-HybridRouter::Options routerOptions(const L4Balancer::Options& opts) {
-  HybridRouter::Options ro;
-  ro.fallback = opts.hash == L4Balancer::HashKind::kMaglev
-                    ? HybridRouter::FallbackHash::kMaglev
-                    : HybridRouter::FallbackHash::kRing;
-  ro.shards = opts.flowShards;
-  ro.flowCapacityPerShard =
-      opts.flowShards > 0 ? opts.connTableCapacity / opts.flowShards
-                          : opts.connTableCapacity;
-  ro.churnWindow = opts.churnWindow;
-  ro.useFlowTable = opts.useConnTable;
-  ro.metricsPrefix = "l4.";
-  return ro;
-}
-
-}  // namespace
 
 L4Balancer::L4Balancer(EventLoop& loop, const SocketAddr& vip,
                        std::vector<BackendTarget> backends, Options opts,
@@ -38,8 +19,7 @@ L4Balancer::L4Balancer(EventLoop& loop, const SocketAddr& vip,
     : loop_(loop),
       opts_(opts),
       metrics_(metrics),
-      backends_(std::move(backends)),
-      router_(routerOptions(opts), metrics) {
+      backends_(std::move(backends)) {
   health_ = std::make_unique<HealthChecker>(
       loop_, backends_, opts_.health, [this] { rebuildHealthySet(); },
       metrics_);
@@ -47,12 +27,9 @@ L4Balancer::L4Balancer(EventLoop& loop, const SocketAddr& vip,
       loop_, TcpListener(vip),
       [this](TcpSocket sock) { onAccept(std::move(sock)); });
   rebuildHealthySet();
-  maintainTimer_ = loop_.runEvery(Duration{500},
-                                  [this] { router_.maintain(Clock::now()); });
 }
 
 L4Balancer::~L4Balancer() {
-  loop_.cancelTimer(maintainTimer_);
   // Flows capture `this` in their close callbacks and can outlive the
   // balancer: the Flow⇄Connection shared_ptr cycle only breaks when a
   // connection closes, so a flow whose FIN hasn't been dispatched yet
@@ -86,8 +63,6 @@ void L4Balancer::setBackends(std::vector<BackendTarget> backends) {
   rebuildHealthySet();
 }
 
-void L4Balancer::noteTakeover() { router_.openChurnWindow(Clock::now()); }
-
 void L4Balancer::rebuildHealthySet() {
   healthy_ = health_->healthyTargets();
   std::vector<std::string> names;
@@ -95,26 +70,14 @@ void L4Balancer::rebuildHealthySet() {
   for (const auto& t : healthy_) {
     names.push_back(t.name);
   }
-  // Every healthy-set change is a churn event: the router rebuilds
-  // both lookup planes and arms first-packet promotion so flows that
-  // arrive during the flap get pinned (§5.1).
-  router_.setBackends(names, Clock::now());
+  // Only flows accepted from now on see the new mapping: live ones
+  // already hold their backend connection.
+  maglev_.rebuild(names);
 }
 
 const BackendTarget* L4Balancer::chooseBackend(uint64_t flowKey) {
-  auto id = router_.route(flowKey, Clock::now());
-  if (!id) {
-    return nullptr;
-  }
-  const std::string& name = router_.nameOf(*id);
-  for (const auto& t : healthy_) {
-    if (t.name == name) {
-      return &t;
-    }
-  }
-  // The router only returns live ids, so a miss here means healthy_
-  // changed mid-call — treat as no backend rather than misroute.
-  return nullptr;
+  auto idx = maglev_.pick(flowKey);
+  return idx ? &healthy_[*idx] : nullptr;
 }
 
 void L4Balancer::onAccept(TcpSocket sock) {
@@ -134,7 +97,6 @@ void L4Balancer::onAccept(TcpSocket sock) {
   }
 
   auto flow = std::make_shared<Flow>();
-  flow->flowKey = flowKey;
   flow->client = Connection::make(loop_, std::move(sock));
   flows_.insert(flow);
 

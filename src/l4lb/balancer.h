@@ -1,13 +1,11 @@
 // Katran-model L4 load balancer (userspace reproduction).
 //
-// Accepts flows on a VIP and forwards them to L7 backends chosen by
-// the hybrid router: Othello-style stateless lookup by default, with
-// flows promoted into a per-worker flow-table shard during backend
-// churn windows and ZDR takeover so momentary health flaps do not
-// re-route established flows (§5.1). ZDR_NO_STATELESS_LOOKUP=1 falls
-// back to consistent hashing plus an always-on LRU pin — the pre-PR
-// behavior. Operates at connection granularity — the userspace
-// analogue of Katran's per-packet XDP forwarding.
+// Accepts flows on a VIP and forwards each to an L7 backend that Maglev
+// picks over the healthy set. The pick happens once, at accept: from
+// then on the flow's own record (its spliced client/backend pair) is
+// the §5.1 connection table, so a health flap that reshuffles Maglev
+// never moves an established flow. Operates at connection granularity
+// — the userspace analogue of Katran's per-packet XDP forwarding.
 #pragma once
 
 #include <memory>
@@ -15,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "l4lb/consistent_hash.h"
 #include "l4lb/health.h"
-#include "l4lb/hybrid_router.h"
 #include "metrics/metrics.h"
 #include "netcore/connection.h"
 
@@ -24,16 +22,7 @@ namespace zdr::l4lb {
 
 class L4Balancer {
  public:
-  enum class HashKind : uint8_t { kMaglev, kRing };
-
   struct Options {
-    HashKind hash = HashKind::kMaglev;
-    bool useConnTable = true;
-    size_t connTableCapacity = 4096;
-    // Flow-table shards (per-worker in a sharded deployment).
-    size_t flowShards = 1;
-    // Promotion stays armed this long after a backend-set change.
-    Duration churnWindow = Duration{2000};
     HealthChecker::Options health{};
   };
 
@@ -46,15 +35,11 @@ class L4Balancer {
 
   [[nodiscard]] SocketAddr vip() const { return acceptor_->localAddr(); }
   [[nodiscard]] HealthChecker& health() noexcept { return *health_; }
-  [[nodiscard]] HybridRouter& router() noexcept { return router_; }
   [[nodiscard]] size_t activeFlows() const noexcept { return flows_.size(); }
 
   // Replaces the backend set (e.g. cluster resize in experiments).
+  // Established flows keep the backend they were accepted onto.
   void setBackends(std::vector<BackendTarget> backends);
-
-  // ZDR takeover hook: opens a churn window so flows arriving while
-  // the serving processes swap get pinned.
-  void noteTakeover();
 
  private:
   struct Flow;
@@ -70,11 +55,10 @@ class L4Balancer {
   MetricsRegistry* metrics_;
   std::vector<BackendTarget> backends_;
   std::vector<BackendTarget> healthy_;
-  HybridRouter router_;
+  MaglevHash maglev_;  // over healthy_, in its order
   std::unique_ptr<HealthChecker> health_;
   std::unique_ptr<Acceptor> acceptor_;
   std::set<std::shared_ptr<Flow>> flows_;
-  EventLoop::TimerId maintainTimer_ = 0;
 };
 
 }  // namespace zdr::l4lb

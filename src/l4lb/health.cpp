@@ -118,9 +118,9 @@ void HealthChecker::probeOne(size_t idx) {
         if (!*alive) {
           return;
         }
-        if (ec) {
-          onProbeResult(idx, false);
-          return;
+        if (ec || path.empty()) {
+          onProbeResult(idx, !ec);
+          return;  // a connect-only probe closes `sock` here
         }
         // Send the probe request and await a 200.
         auto conn = Connection::make(loop_, std::move(sock));

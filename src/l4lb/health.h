@@ -32,6 +32,8 @@ class HealthChecker {
     Duration probeTimeout = Duration{500};
     int failThreshold = 2;  // consecutive fails to mark down
     int riseThreshold = 1;  // consecutive passes to mark up
+    // HTTP probe path (pass on a 200). Empty: a TCP-connect probe that
+    // passes on a connect with no error, for non-HTTP backends (MQTT).
     std::string path = "/__health";
   };
 

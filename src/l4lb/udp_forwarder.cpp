@@ -1,25 +1,8 @@
 #include "l4lb/udp_forwarder.h"
 
-
 #include "l4lb/hashing.h"
 
 namespace zdr::l4lb {
-
-namespace {
-
-HybridRouter::Options routerOptions(const UdpForwarder::Options& opts) {
-  HybridRouter::Options ro;
-  ro.shards = opts.flowShards;
-  ro.flowCapacityPerShard =
-      opts.flowShards > 0 ? opts.connTableCapacity / opts.flowShards
-                          : opts.connTableCapacity;
-  ro.churnWindow = opts.churnWindow;
-  ro.useFlowTable = opts.useConnTable;
-  ro.metricsPrefix = "l4udp.";
-  return ro;
-}
-
-}  // namespace
 
 UdpForwarder::UdpForwarder(EventLoop& loop, const SocketAddr& vip,
                            std::vector<Backend> backends, Options opts,
@@ -27,15 +10,8 @@ UdpForwarder::UdpForwarder(EventLoop& loop, const SocketAddr& vip,
     : loop_(loop),
       opts_(opts),
       metrics_(metrics),
-      backends_(std::move(backends)),
-      router_(routerOptions(opts), metrics),
       vipSock_(vip) {
-  std::vector<std::string> names;
-  names.reserve(backends_.size());
-  for (const auto& b : backends_) {
-    names.push_back(b.name);
-  }
-  router_.setBackends(names, Clock::now());
+  setBackends(std::move(backends));
   loop_.addFd(vipSock_.fd(), kEvRead, [this](uint32_t) { onVipReadable(); });
   reapTimer_ = loop_.runEvery(Duration{1000}, [this] { reapIdle(); });
 }
@@ -53,22 +29,14 @@ UdpForwarder::~UdpForwarder() {
 }
 
 void UdpForwarder::setBackends(std::vector<Backend> backends) {
-  // Bulk-promote every live flow BEFORE the rebuild: the pins record
-  // the pre-churn routing, so the new stateless map cannot re-route a
-  // datagram stream whose NAT socket is already established.
-  for (const auto& [key, flow] : flows_) {
-    router_.pin(key, flow->backendId);
-  }
   backends_ = std::move(backends);
   std::vector<std::string> names;
   names.reserve(backends_.size());
   for (const auto& b : backends_) {
     names.push_back(b.name);
   }
-  router_.setBackends(names, Clock::now());
+  maglev_.rebuild(names);
 }
-
-void UdpForwarder::noteTakeover() { router_.openChurnWindow(Clock::now()); }
 
 UdpForwarder::Flow* UdpForwarder::flowFor(const SocketAddr& client) {
   uint64_t key = mix64(client.hashKey());
@@ -77,26 +45,14 @@ UdpForwarder::Flow* UdpForwarder::flowFor(const SocketAddr& client) {
     return it->second.get();
   }
 
-  auto id = router_.route(key, Clock::now());
-  if (!id) {
+  auto idx = maglev_.pick(key);
+  if (!idx) {
     return nullptr;
-  }
-  const Backend* target = nullptr;
-  const std::string& name = router_.nameOf(*id);
-  for (const auto& b : backends_) {
-    if (b.name == name) {
-      target = &b;
-      break;
-    }
-  }
-  if (target == nullptr) {
-    return nullptr;  // backends_ changed mid-call
   }
 
   auto flow = std::make_unique<Flow>();
   flow->client = client;
-  flow->backend = target->addr;
-  flow->backendId = *id;
+  flow->backend = backends_[*idx].addr;
   flow->natSock = UdpSocket(SocketAddr::loopback(0));
   flow->lastActive = Clock::now();
   loop_.addFd(flow->natSock.fd(), kEvRead,
@@ -188,7 +144,6 @@ void UdpForwarder::reapIdle() {
       if (loop_.watching(it->second->natSock.fd())) {
         loop_.removeFd(it->second->natSock.fd());
       }
-      router_.unpin(it->first);
       it = flows_.erase(it);
       if (metrics_) {
         metrics_->counter("l4udp.flows_reaped").add();
@@ -197,7 +152,6 @@ void UdpForwarder::reapIdle() {
       ++it;
     }
   }
-  router_.maintain(now);
 }
 
 }  // namespace zdr::l4lb

@@ -2,9 +2,10 @@
 //
 // Katran consistently routes UDP packets to L7 backends by hashing the
 // 4-tuple (§4.1). This userspace stand-in does the same at datagram
-// granularity: client datagrams arriving on the VIP are forwarded to a
-// backend chosen by consistent hash of the client address, pinned in
-// the LRU connection table; replies flow back through a per-flow NAT
+// granularity: the first datagram of a flow picks a backend by Maglev
+// over the client address, and the flow's own record (`flows_`) keeps
+// that backend for every later datagram, so a backend-set change never
+// moves a live flow (§5.1). Replies flow back through a per-flow NAT
 // socket so the client sees a single stable peer.
 #pragma once
 
@@ -12,7 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "l4lb/hybrid_router.h"
+#include "l4lb/consistent_hash.h"
 #include "metrics/metrics.h"
 #include "netcore/buffer_pool.h"
 #include "netcore/event_loop.h"
@@ -24,12 +25,6 @@ namespace zdr::l4lb {
 class UdpForwarder {
  public:
   struct Options {
-    bool useConnTable = true;
-    size_t connTableCapacity = 4096;
-    // Flow-table shards (per-worker in a sharded deployment).
-    size_t flowShards = 1;
-    // Promotion stays armed this long after backend churn/takeover.
-    Duration churnWindow = Duration{2000};
     // Idle flows are reaped after this long without traffic.
     Duration flowIdleTimeout = Duration{30000};
   };
@@ -50,21 +45,15 @@ class UdpForwarder {
   [[nodiscard]] size_t flowCount() const noexcept { return flows_.size(); }
   [[nodiscard]] uint64_t forwarded() const noexcept { return forwarded_; }
   [[nodiscard]] uint64_t returned() const noexcept { return returned_; }
-  [[nodiscard]] HybridRouter& router() noexcept { return router_; }
 
-  // Replaces the backend set (health integration point). Live flows
-  // are bulk-promoted into the stateful shard first, so the stateless
-  // rebuild cannot re-route them mid-connection.
+  // Replaces the backend set (health integration point). Only new
+  // flows see it: a live flow's record keeps its backend.
   void setBackends(std::vector<Backend> backends);
-
-  // ZDR takeover hook: arms promotion without changing the set.
-  void noteTakeover();
 
  private:
   struct Flow {
     SocketAddr client;
     SocketAddr backend;
-    uint32_t backendId = 0;  // router-interned id, for bulk promotion
     UdpSocket natSock;  // source of forwarded packets; sink of replies
     TimePoint lastActive;
   };
@@ -83,7 +72,7 @@ class UdpForwarder {
   Options opts_;
   MetricsRegistry* metrics_;
   std::vector<Backend> backends_;
-  HybridRouter router_;
+  MaglevHash maglev_;  // over backends_, in its order
   // Pool before batches: batch handles release into it on destruction.
   BufferPool pool_;
   RecvBatch rxBatch_{pool_};

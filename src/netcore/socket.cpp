@@ -315,7 +315,15 @@ std::optional<TcpSocket> TcpListener::accept(std::error_code& ec) {
 
 UdpSocket::UdpSocket(const SocketAddr& addr, const BindOptions& opts) {
   FdGuard fd = detail::makeSocket(AF_INET, SOCK_DGRAM);
-  detail::applyBindOptions(fd.get(), opts);
+  // The kernel may hand an ephemeral (port 0) bind with SO_REUSEADDR a
+  // port that another SO_REUSEADDR socket already holds, and the two
+  // then share its datagrams. Reuse only means something on a fixed
+  // port, so a lone ephemeral socket goes without it.
+  BindOptions bindOpts = opts;
+  if (addr.port() == 0 && !opts.reusePort) {
+    bindOpts.reuseAddr = false;
+  }
+  detail::applyBindOptions(fd.get(), bindOpts);
   sockaddr_in sa = addr.raw();
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
     throwErrno("bind(udp) " + addr.str());

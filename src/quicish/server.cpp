@@ -68,6 +68,14 @@ void Server::enterDrain() {
   }
 }
 
+void Server::adoptFlows(Server& retired) {
+  if (!opts_.userSpaceRouting || !haveForwardPeer_) {
+    return;
+  }
+  flows_.merge(retired.flows_);
+  haveForwardPeer_ = false;
+}
+
 void Server::shutdown() {
   for (auto& s : vipSocks_) {
     if (s.valid()) {

@@ -67,6 +67,13 @@ class Server {
     haveForwardPeer_ = true;
   }
 
+  // End of a takeover drain, before `retired` is destroyed: an
+  // instance that user-space-routes to `retired` adopts its flows and
+  // drops the forward peer, so a flow that outlives the drain is acked
+  // here instead of forwarded to a closed socket. Without routing the
+  // strays were already reset (Fig 10's traditional mode).
+  void adoptFlows(Server& retired);
+
   // Closes everything.
   void shutdown();
 

@@ -138,14 +138,49 @@ TEST(IntegrationTest, QuicThroughL4UdpForwarderSurvivesZdrRestart) {
   waitFor([&] { return flows.totalAcks() >= 24 * 4; });
   EXPECT_EQ(flows.totalResets(), 0u);
 
-  // Release edge0; its flows (pinned by the forwarder's conn table)
-  // ride the draining instance via user-space routing.
+  // Release edge0; its flows (pinned by their forwarder records) ride
+  // the draining instance via user-space routing.
   bed.edge(0).beginRestart(release::Strategy::kZeroDowntime);
   uint64_t mark = flows.totalAcks();
   waitFor([&] { return flows.totalAcks() >= mark + 24 * 3; }, 3000);
   EXPECT_EQ(flows.totalResets(), 0u);
-  flows.stop();
+
+  // Past the drain the updated instance has adopted the retired one's
+  // flows: every flow keeps being acked, none is black-holed or reset.
   bed.edge(0).waitRestart();
+  uint64_t slowest = flows.minFlowAcks();
+  waitFor([&] { return flows.minFlowAcks() >= slowest + 3; }, 3000);
+  EXPECT_EQ(flows.totalResets(), 0u);
+  flows.stop();
+}
+
+TEST(IntegrationTest, MqttThroughL4VipReachesBroker) {
+  // Fig 1's MQTT path: user → L4 → edge → trunk → origin → broker. The
+  // edges' MQTT ports speak no HTTP, so the MQTT VIP must probe them
+  // with a TCP connect; otherwise no backend is ever healthy and L4
+  // drops every MQTT connection.
+  TestbedOptions opts;
+  opts.edges = 2;
+  opts.origins = 1;
+  opts.appServers = 1;
+  opts.enableMqtt = true;
+  opts.enableL4 = true;
+  opts.l4Options.health.interval = Duration{50};
+  Testbed bed(opts);
+
+  MqttFleet::Options fo;
+  fo.clients = 4;
+  MqttFleet fleet(bed.mqttEntry(), fo, bed.metrics(), "fleet");
+  fleet.start();
+  waitFor([&] { return fleet.connectedCount() == 4; });
+
+  MqttPublisher::Options po;
+  po.fleetSize = 4;
+  MqttPublisher publisher(bed.broker(0).addr(), po, bed.metrics(), "pub");
+  publisher.start();
+  waitFor([&] { return fleet.publishesReceived() >= 20; });
+  publisher.stop();
+  fleet.stop();
 }
 
 TEST(IntegrationTest, L4StaysBlindToZdrRestart) {

@@ -1,12 +1,12 @@
-// L4LB: consistent hashing properties, LRU connection table, health
-// checking, and the TCP forwarder.
+// L4LB: consistent hashing properties, health checking, and the TCP
+// forwarder, whose per-flow record pins each flow to its backend.
 #include <atomic>
 #include <gtest/gtest.h>
+#include <set>
 
 #include "appserver/app_server.h"
 #include "http/client.h"
 #include "l4lb/balancer.h"
-#include "l4lb/conn_table.h"
 #include "l4lb/consistent_hash.h"
 #include "l4lb/hashing.h"
 
@@ -143,78 +143,6 @@ TEST(ConsistentHashTest, RemapFractionRingVsMaglev) {
   }
 }
 
-// -------------------------------------------------------------- ConnTable
-
-TEST(ConnTableTest, InsertLookup) {
-  ConnTable table(4);
-  EXPECT_FALSE(table.lookup(1).has_value());
-  table.insert(1, "b0");
-  EXPECT_EQ(table.lookup(1), "b0");
-  EXPECT_EQ(table.hits(), 1u);
-  EXPECT_EQ(table.misses(), 1u);
-}
-
-TEST(ConnTableTest, EvictsLeastRecentlyUsed) {
-  ConnTable table(3);
-  table.insert(1, "a");
-  table.insert(2, "b");
-  table.insert(3, "c");
-  (void)table.lookup(1);     // 1 is now most recent
-  table.insert(4, "d");      // evicts 2
-  EXPECT_TRUE(table.lookup(1).has_value());
-  EXPECT_FALSE(table.lookup(2).has_value());
-  EXPECT_TRUE(table.lookup(3).has_value());
-  EXPECT_TRUE(table.lookup(4).has_value());
-  EXPECT_EQ(table.evictions(), 1u);
-}
-
-TEST(ConnTableTest, InsertUpdatesExisting) {
-  ConnTable table(2);
-  table.insert(1, "a");
-  table.insert(1, "b");
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.lookup(1), "b");
-}
-
-TEST(ConnTableTest, EraseRemoves) {
-  ConnTable table(2);
-  table.insert(1, "a");
-  table.erase(1);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_FALSE(table.lookup(1).has_value());
-}
-
-// The §5.1 scenario: a momentary health flap shuffles the hash ring;
-// the LRU table keeps established flows pinned to their old backend.
-TEST(ConnTableTest, AbsorbsHealthFlap) {
-  MaglevHash hash;
-  auto backends = makeBackends(10, "b");
-  hash.rebuild(backends);
-  ConnTable table(1024);
-
-  // Establish 200 flows.
-  std::vector<std::pair<uint64_t, std::string>> flows;
-  for (uint64_t k = 0; k < 200; ++k) {
-    uint64_t key = mix64(k + 7);
-    auto idx = hash.pick(key);
-    table.insert(key, backends[*idx]);
-    flows.emplace_back(key, backends[*idx]);
-  }
-  // Flap: b4 drops out and returns.
-  auto flapped = backends;
-  flapped.erase(flapped.begin() + 4);
-  hash.rebuild(flapped);
-  size_t movedWithTable = 0;
-  for (auto& [key, oldBackend] : flows) {
-    auto pinned = table.lookup(key);
-    std::string now = pinned ? *pinned : flapped[*hash.pick(key)];
-    if (now != oldBackend) {
-      ++movedWithTable;
-    }
-  }
-  EXPECT_EQ(movedWithTable, 0u);  // table pins every established flow
-}
-
 // ------------------------------------------------- balancer end-to-end
 
 TEST(L4BalancerTest, ForwardsToHealthyBackendAndFailsOver) {
@@ -306,6 +234,131 @@ TEST(L4BalancerTest, ForwardsToHealthyBackendAndFailsOver) {
     s1.reset();
     s2.reset();
   });
+}
+
+// §5.1 on the real path: a health flap rebuilds Maglev over the new
+// healthy set, yet every established flow keeps the backend it was
+// accepted onto; only flows accepted after the flap see the new set.
+TEST(L4BalancerTest, HealthFlapNeverMovesLiveFlows) {
+  MetricsRegistry metrics;
+  EventLoopThread serverLoop("servers");
+  EventLoopThread lbLoop("lb");
+  EventLoopThread clientLoop("client");
+
+  // Three backends that answer every request with their own name.
+  constexpr size_t kBackends = 3;
+  std::vector<std::unique_ptr<appserver::AppServer>> servers;
+  std::vector<BackendTarget> targets;
+  serverLoop.runSync([&] {
+    for (size_t i = 0; i < kBackends; ++i) {
+      appserver::AppServer::Options opts;
+      opts.name = "s" + std::to_string(i);
+      servers.push_back(std::make_unique<appserver::AppServer>(
+          serverLoop.loop(), SocketAddr::loopback(0), opts, &metrics));
+      servers.back()->setHandler(
+          [name = opts.name](const http::Request&, http::Response& res) {
+            res.status = 200;
+            res.body = name;
+          });
+      targets.push_back({opts.name, servers.back()->localAddr()});
+    }
+  });
+
+  std::unique_ptr<L4Balancer> lb;
+  SocketAddr vip;
+  lbLoop.runSync([&] {
+    L4Balancer::Options opts;
+    opts.health.interval = Duration{20};
+    opts.health.failThreshold = 1;
+    lb = std::make_unique<L4Balancer>(lbLoop.loop(), SocketAddr::loopback(0),
+                                      targets, opts, &metrics);
+    vip = lb->vip();
+  });
+  auto waitHealthy = [&](size_t want) {
+    size_t healthy = 0;
+    for (int i = 0; i < 3000 && healthy != want; ++i) {
+      lbLoop.runSync([&] { healthy = lb->health().healthyCount(); });
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(healthy, want);
+  };
+  waitHealthy(kBackends);
+
+  // One keep-alive request; returns the serving backend ("" on error).
+  // The reply state is shared: a late callback must not outlive it.
+  struct Reply {
+    std::atomic<bool> done{false};
+    std::string served;
+  };
+  auto ask = [&](const std::shared_ptr<http::Client>& client) {
+    auto reply = std::make_shared<Reply>();
+    clientLoop.runSync([&] {
+      http::Request req;
+      req.path = "/who";
+      client->request(req, [reply](http::Client::Result r) {
+        if (r.ok) {
+          reply->served = r.response.body;
+        }
+        reply->done.store(true);
+      });
+    });
+    for (int i = 0; i < 3000 && !reply->done.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return reply->done.load() ? reply->served : std::string();
+  };
+  // Opens flows until `count` are open and `want` backends are seen.
+  auto openFlows = [&](size_t count, size_t want,
+                       std::vector<std::shared_ptr<http::Client>>& clients,
+                       std::vector<std::string>& backendOf) {
+    std::set<std::string> seen;
+    while ((clients.size() < count || seen.size() < want) &&
+           clients.size() < 200) {
+      std::shared_ptr<http::Client> client;
+      clientLoop.runSync(
+          [&] { client = http::Client::make(clientLoop.loop(), vip); });
+      clients.push_back(client);
+      backendOf.push_back(ask(client));
+      seen.insert(backendOf.back());
+    }
+    return seen;
+  };
+
+  constexpr size_t kFlows = 24;
+  std::vector<std::shared_ptr<http::Client>> live;
+  std::vector<std::string> liveBackend;
+  auto before = openFlows(kFlows, kBackends, live, liveBackend);
+  ASSERT_EQ(before, (std::set<std::string>{"s0", "s1", "s2"}));
+
+  // Flap: s1 stops accepting, so its probes fail and Maglev re-picks
+  // every key that mapped to it. Its established connections still
+  // serve, as in a momentary health blip.
+  serverLoop.runSync([&] { servers[1]->startDrain(); });
+  waitHealthy(kBackends - 1);
+
+  size_t moved = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (ask(live[i]) != liveBackend[i]) {
+      ++moved;
+    }
+  }
+  EXPECT_EQ(moved, 0u);
+
+  std::vector<std::shared_ptr<http::Client>> fresh;
+  std::vector<std::string> freshBackend;
+  auto after = openFlows(kFlows, kBackends - 1, fresh, freshBackend);
+  EXPECT_EQ(after, (std::set<std::string>{"s0", "s2"}));
+
+  clientLoop.runSync([&] {
+    for (auto& c : live) {
+      c->close();
+    }
+    for (auto& c : fresh) {
+      c->close();
+    }
+  });
+  lbLoop.runSync([&] { lb.reset(); });
+  serverLoop.runSync([&] { servers.clear(); });
 }
 
 // Regression: every completed probe used to leave its timeout timer

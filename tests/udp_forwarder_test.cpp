@@ -1,7 +1,8 @@
 // Katran-model UDP forwarding: consistent routing, NAT return path,
-// flow pinning and reaping.
+// flows pinned by their own record across backend changes, and reaping.
 #include <atomic>
 #include <gtest/gtest.h>
+#include <set>
 
 #include "l4lb/udp_forwarder.h"
 #include "quicish/client.h"
@@ -47,6 +48,30 @@ class UdpForwarderTest : public ::testing::Test {
       forwarder_.reset();
       s1_.reset();
       s2_.reset();
+      s3_.reset();
+    });
+  }
+
+  // Opens `n` flows with conn IDs from `firstId` and waits for each
+  // one's first ack.
+  void openFlows(size_t n, uint64_t firstId) {
+    size_t begin = 0;
+    loop_.runSync([&] {
+      begin = flows_.size();
+      for (size_t i = 0; i < n; ++i) {
+        flows_.push_back(std::make_unique<quicish::ClientFlow>(
+            loop_.loop(), vip_, firstId + i));
+        flows_.back()->sendInitial();
+      }
+    });
+    waitFor([&] {
+      bool all = true;
+      loop_.runSync([&] {
+        for (size_t i = begin; i < flows_.size(); ++i) {
+          all = all && flows_[i]->acks() >= 1;
+        }
+      });
+      return all;
     });
   }
 
@@ -54,6 +79,7 @@ class UdpForwarderTest : public ::testing::Test {
   MetricsRegistry metrics_;
   std::unique_ptr<quicish::Server> s1_;
   std::unique_ptr<quicish::Server> s2_;
+  std::unique_ptr<quicish::Server> s3_;  // joins in the flap test
   std::unique_ptr<UdpForwarder> forwarder_;
   std::vector<std::unique_ptr<quicish::ClientFlow>> flows_;
   SocketAddr vip_;
@@ -166,6 +192,70 @@ TEST_F(UdpForwarderTest, NoBackendsDropsSilently) {
     EXPECT_EQ(flows_[0]->acks(), 0u);
     EXPECT_EQ(forwarder_->flowCount(), 0u);
   });
+}
+
+// §5.1 on the real path: a backend-set change rebuilds Maglev, yet
+// every live flow's record keeps its backend. A re-routed flow would
+// land on a server with no state for it and be reset. Flows opened
+// after the change spread over the new set only.
+TEST_F(UdpForwarderTest, SetBackendsNeverMovesLiveFlows) {
+  constexpr size_t kFlows = 32;
+  openFlows(kFlows, 0x200);
+  std::vector<uint32_t> instanceOf;
+  loop_.runSync([&] {
+    for (auto& f : flows_) {
+      instanceOf.push_back(f->lastAckInstance());
+    }
+  });
+  ASSERT_EQ(std::set<uint32_t>(instanceOf.begin(), instanceOf.end()),
+            (std::set<uint32_t>{1, 2}));
+
+  // s2 leaves and s3 joins: every key that mapped to s2 re-picks.
+  loop_.runSync([&] {
+    quicish::Server::Options so;
+    so.instanceId = 3;
+    so.numWorkers = 1;
+    s3_ = std::make_unique<quicish::Server>(
+        loop_.loop(), SocketAddr::loopback(0), so, nullptr);
+    forwarder_->setBackends({{"s1", s1_->vip()}, {"s3", s3_->vip()}});
+  });
+
+  constexpr uint64_t kRounds = 5;
+  loop_.runSync([&] {
+    for (uint64_t r = 0; r < kRounds; ++r) {
+      for (size_t i = 0; i < kFlows; ++i) {
+        flows_[i]->sendData();
+      }
+    }
+  });
+  waitFor([&] {
+    bool all = true;
+    loop_.runSync([&] {
+      for (size_t i = 0; i < kFlows; ++i) {
+        all = all && flows_[i]->acks() + flows_[i]->resets() >= 1 + kRounds;
+      }
+    });
+    return all;
+  });
+  size_t moved = 0;
+  loop_.runSync([&] {
+    for (size_t i = 0; i < kFlows; ++i) {
+      EXPECT_EQ(flows_[i]->resets(), 0u) << "flow " << i;
+      if (flows_[i]->lastAckInstance() != instanceOf[i]) {
+        ++moved;
+      }
+    }
+  });
+  EXPECT_EQ(moved, 0u);
+
+  openFlows(kFlows, 0x300);
+  std::set<uint32_t> fresh;
+  loop_.runSync([&] {
+    for (size_t i = kFlows; i < flows_.size(); ++i) {
+      fresh.insert(flows_[i]->lastAckInstance());
+    }
+  });
+  EXPECT_EQ(fresh, (std::set<uint32_t>{1, 3}));
 }
 
 }  // namespace
