@@ -1,60 +1,32 @@
-// Reduced-copy relay plane: copy-bytes and syscall economics of the
-// splice(2) tunnel fast path against the userspace copying pump, plus
-// the Edge's streamed-response relay mode end to end.
+// Edge relay mode: copy-bytes and syscall economics of a streamed large
+// response end to end.
 //
-// Part 1 ("tunnel_chain" cells) rebuilds the MQTT pass-through
-// datapath as a two-hop relay chain — user→edge, edge→origin,
-// origin→broker legs with the edge and origin each relaying between
-// two sockets — and drives heavy-tailed record sizes through it
-// (mostly small control packets, a tail of big bodies). Sweeps the
-// splice fast path {on, off} (same binary, runtime kill switch — the
-// ZDR_NO_SPLICE_RELAY copying pump) × chains {1, 4} and reports
-// records/sec, p99 record RTT, copy-bytes/record and syscalls/record.
-// The harness drives the chain ends with raw file-descriptor I/O, so
-// the deltas isolate the relay plane itself.
+// One "proxy_e2e" cell runs the real testbed with the Edge's relay-mode
+// threshold live and a load generator fetching 256 KiB bodies: the
+// response head goes out when the trunk HEADERS arrive and the body
+// streams from trunk DATA frames without being re-buffered whole.
+// Reports req/s, client p99, copy-bytes/request and syscalls/request.
 //
-// Part 2 ("proxy_e2e" cells) runs the real testbed with the Edge's
-// relay-mode threshold live and a load generator fetching big bodies:
-// realism numbers, recorded but not gated (timing-noisy). Streamed
-// responses are reframed from trunk DATA frames, so they never splice:
-// the two cells run the same path and differ only in the switch.
-//
-// Emits BENCH_relay.json; CI gates on the committed baseline
-// (scripts/check_bench_regression.py --gate) and this binary itself
-// fails unless the fast path cuts copy-bytes/record at least 2x at
-// chains=4 — the acceptance ratio is structural (the copying pump
-// charges four userspace crossings per relayed byte, the spliced path
-// zero) and so holds even under --smoke.
+// Emits BENCH_relay.json; CI gates copy_bytes_per_req and
+// syscalls_per_req on the committed baseline
+// (scripts/check_bench_regression.py --gate). Both are structural: a
+// streamed body that starts being re-buffered shows up as one more
+// userspace pass over 256 KiB per request.
 //
 // Usage: bench_relay [--smoke]
-#include <poll.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cstring>
 #include <fstream>
-#include <memory>
-#include <optional>
-#include <thread>
-#include <vector>
 
 #include "bench_util.h"
 #include "core/testbed.h"
 #include "core/workload.h"
-#include "metrics/hdr_histogram.h"
-#include "netcore/connection.h"
-#include "netcore/event_loop.h"
 #include "netcore/io_stats.h"
-#include "netcore/socket.h"
 
 using namespace zdr;
 
 namespace {
 
 struct Cell {
-  std::string mode;  // "tunnel_chain" | "proxy_e2e"
-  size_t workers = 1;
-  bool fastpath = true;
   uint64_t requests = 0;
   uint64_t errors = 0;
   double seconds = 0;
@@ -62,205 +34,16 @@ struct Cell {
   double p99Ms = 0;
   double copyBytesPerReq = 0;
   double syscallsPerReq = 0;
-  uint64_t spliceBytes = 0;
 };
-
-// Heavy-tailed record schedule: per 20 records, 16 small control
-// packets, 3 medium bodies, 1 big body (~17KB mean, 256KB tail).
-constexpr size_t kTail[20] = {512, 512, 512,    512, 512, 512, 512,
-                              512, 512, 512,    512, 512, 512, 512,
-                              512, 512, 16384,  16384, 16384, 262144};
 
 size_t relaySyscalls() {
-  return ioStats().totalReadSyscalls() + ioStats().totalWriteSyscalls() +
-         ioStats().spliceCalls.load(std::memory_order_relaxed);
-}
-
-// Accepted + connected TCP loopback pair (both ends nonblocking).
-std::pair<TcpSocket, TcpSocket> makeTcpPair() {
-  TcpListener listener(SocketAddr::loopback(0));
-  std::error_code ec;
-  TcpSocket client = TcpSocket::connect(listener.localAddr(), ec);
-  pollfd pfd{client.fd(), POLLOUT, 0};
-  ::poll(&pfd, 1, 2000);
-  std::optional<TcpSocket> server;
-  for (int i = 0; i < 2000 && !server; ++i) {
-    server = listener.accept(ec);
-    if (!server) {
-      bench::sleepMs(1);
-    }
-  }
-  return {std::move(client), std::move(*server)};
-}
-
-// One pass-through tunnel datapath: client fd → [edgeUser ⇒ edgeDirect]
-// → wire → [originTunnel ⇒ originBroker] → wire → sink fd. The two ⇒
-// hops are Connection relay mode — spliced or copying per the kill
-// switch — exactly the per-tunnel topology the proxies run.
-struct Chain {
-  ConnectionPtr edgeUser, edgeDirect, originTunnel, originBroker;
-  TcpSocket clientSide;  // harness writes records here
-  TcpSocket sinkSide;    // harness drains bytes here
-
-  void build(EventLoopThread& loop) {
-    auto [c1, s1] = makeTcpPair();
-    auto [c2, s2] = makeTcpPair();
-    auto [c3, s3] = makeTcpPair();
-    clientSide = std::move(c1);
-    sinkSide = std::move(c3);
-    auto* s1p = &s1;
-    auto* c2p = &c2;
-    auto* s2p = &s2;
-    auto* s3p = &s3;
-    loop.runSync([&, s1p, c2p, s2p, s3p] {
-      edgeUser = Connection::make(loop.loop(), std::move(*s1p));
-      edgeDirect = Connection::make(loop.loop(), std::move(*c2p));
-      originTunnel = Connection::make(loop.loop(), std::move(*s2p));
-      originBroker = Connection::make(loop.loop(), std::move(*s3p));
-      for (auto& c : {edgeUser, edgeDirect, originTunnel, originBroker}) {
-        c->setDataCallback([](Buffer&) {});
-        c->start();
-      }
-      edgeUser->startRelayTo(edgeDirect);
-      originTunnel->startRelayTo(originBroker);
-    });
-  }
-
-  void teardown(EventLoopThread& loop) {
-    loop.runSync([&] {
-      for (auto& c : {edgeUser, edgeDirect, originTunnel, originBroker}) {
-        if (c && c->open()) {
-          c->close({});
-        }
-      }
-    });
-  }
-};
-
-// Closed-loop driver for one chain: write a record into the client fd,
-// spin until the sink end drained that many bytes, log the RTT.
-void driveChain(Chain& chain, std::atomic<bool>& stop, HdrHistogram& rttMs,
-                std::atomic<uint64_t>& records) {
-  std::vector<char> payload(262144, 'r');
-  std::vector<char> drain(65536);
-  uint64_t sunk = 0;
-  uint64_t sent = 0;
-  size_t idx = 0;
-
-  auto pump = [&](uint64_t until, long timeoutMs) {
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
-    while (sunk < until && std::chrono::steady_clock::now() < deadline) {
-      ssize_t n = ::read(chain.sinkSide.fd(), drain.data(), drain.size());
-      if (n > 0) {
-        sunk += static_cast<uint64_t>(n);
-        continue;
-      }
-      pollfd pfd{chain.sinkSide.fd(), POLLIN, 0};
-      ::poll(&pfd, 1, 5);
-    }
-    return sunk >= until;
-  };
-
-  while (!stop.load(std::memory_order_relaxed)) {
-    size_t len = kTail[idx++ % 20];
-    auto t0 = std::chrono::steady_clock::now();
-    size_t off = 0;
-    while (off < len) {
-      ssize_t n =
-          ::write(chain.clientSide.fd(), payload.data() + off, len - off);
-      if (n > 0) {
-        off += static_cast<size_t>(n);
-        continue;
-      }
-      pollfd pfd{chain.clientSide.fd(), POLLOUT, 0};
-      ::poll(&pfd, 1, 5);
-      // Keep the sink draining so a 256KB record can't deadlock on
-      // full socket buffers the whole way down the chain.
-      ssize_t d = ::read(chain.sinkSide.fd(), drain.data(), drain.size());
-      if (d > 0) {
-        sunk += static_cast<uint64_t>(d);
-      }
-    }
-    sent += len;
-    if (!pump(sent, 2000)) {
-      return;  // chain wedged; the record count stops moving
-    }
-    rttMs.record(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-    records.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-Cell runChainCell(size_t chains, bool fastpath) {
-  Cell cell;
-  cell.mode = "tunnel_chain";
-  cell.workers = chains;
-  cell.fastpath = fastpath;
-  setSpliceRelayEnabled(fastpath);
-
-  EventLoopThread loop("relay-bench");
-  std::vector<std::unique_ptr<Chain>> fleet;
-  for (size_t i = 0; i < chains; ++i) {
-    fleet.push_back(std::make_unique<Chain>());
-    fleet.back()->build(loop);
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> records{0};
-  HdrHistogram rttMs;
-  std::vector<std::thread> drivers;
-  for (auto& chain : fleet) {
-    drivers.emplace_back(
-        [&, c = chain.get()] { driveChain(*c, stop, rttMs, records); });
-  }
-
-  // Warm every chain past its first big record, then measure a window.
-  bench::waitUntil([&] { return records.load() >= 20 * chains; }, 10000);
-  uint64_t records0 = records.load();
-  uint64_t copied0 = ioStats().copiedBytes();
-  uint64_t syscalls0 = relaySyscalls();
-  uint64_t splice0 = ioStats().spliceBytes.load();
-  auto t0 = std::chrono::steady_clock::now();
-
-  bench::sleepMs(bench::scaled<long>(1500, 250));
-
-  cell.requests = records.load() - records0;
-  double copied = static_cast<double>(ioStats().copiedBytes() - copied0);
-  double syscalls = static_cast<double>(relaySyscalls() - syscalls0);
-  cell.spliceBytes = ioStats().spliceBytes.load() - splice0;
-  cell.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  stop.store(true);
-  for (auto& t : drivers) {
-    t.join();
-  }
-  for (auto& chain : fleet) {
-    chain->teardown(loop);
-  }
-
-  if (cell.requests > 0) {
-    cell.rps = static_cast<double>(cell.requests) / cell.seconds;
-    cell.copyBytesPerReq = copied / static_cast<double>(cell.requests);
-    cell.syscallsPerReq = syscalls / static_cast<double>(cell.requests);
-  } else {
-    cell.errors = 1;  // a wedged chain must not read as a perfect cell
-  }
-  cell.p99Ms = rttMs.quantile(0.99);
-  return cell;
+  return ioStats().totalReadSyscalls() + ioStats().totalWriteSyscalls();
 }
 
 constexpr size_t kBigBody = 256 * 1024;
 
-Cell runProxyCell(bool fastpath) {
+Cell runProxyCell() {
   Cell cell;
-  cell.mode = "proxy_e2e";
-  cell.workers = 1;
-  cell.fastpath = fastpath;
-  setSpliceRelayEnabled(fastpath);
-
   core::TestbedOptions opts;
   opts.edges = 1;
   opts.origins = 1;
@@ -319,27 +102,19 @@ Cell runProxyCell(bool fastpath) {
   return cell;
 }
 
-void writeJson(const std::vector<Cell>& cells, const char* path) {
+void writeJson(const Cell& c, const char* path) {
   std::ofstream out(path);
+  // Client latency is loopback timing noise, so it rides a key the
+  // regression gate does not police.
   out << "{\n  \"bench\": \"relay\",\n  \"smoke\": "
-      << (bench::smokeMode() ? "true" : "false") << ",\n  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    // The chain cells' p99 is schedule-dominated (a structural gate
-    // candidate); the e2e cells' client latency is loopback timing
-    // noise, so it rides a key the regression gate does not police.
-    const char* p99Key = c.mode == "proxy_e2e" ? "client_p99_ms" : "p99_ms";
-    out << "    {\"mode\": \"" << c.mode << "\", \"http_workers\": "
-        << c.workers << ", \"splice\": " << (c.fastpath ? "true" : "false")
-        << ", \"requests\": " << c.requests << ", \"errors\": " << c.errors
-        << ", \"seconds\": " << c.seconds << ", \"rps\": " << c.rps
-        << ", \"" << p99Key << "\": " << c.p99Ms
-        << ", \"copy_bytes_per_req\": " << c.copyBytesPerReq
-        << ", \"syscalls_per_req\": " << c.syscallsPerReq
-        << ", \"splice_bytes\": " << c.spliceBytes << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+      << (bench::smokeMode() ? "true" : "false") << ",\n  \"cells\": [\n"
+      << "    {\"mode\": \"proxy_e2e\", \"http_workers\": 1"
+      << ", \"requests\": " << c.requests << ", \"errors\": " << c.errors
+      << ", \"seconds\": " << c.seconds << ", \"rps\": " << c.rps
+      << ", \"client_p99_ms\": " << c.p99Ms
+      << ", \"copy_bytes_per_req\": " << c.copyBytesPerReq
+      << ", \"syscalls_per_req\": " << c.syscallsPerReq << "}\n"
+      << "  ]\n}\n";
 }
 
 }  // namespace
@@ -351,90 +126,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::banner(
-      "Reduced-copy relay plane — splice(2) chains × heavy-tailed records",
-      "the tunnel fast path moves payload socket→pipe→socket in-kernel, "
-      "cutting copy-bytes/record >=2x against the userspace pump");
+  bench::banner("Edge relay mode — streamed 256 KiB responses end to end",
+                "a streamed body is never re-buffered whole at the edge");
 
-  const bool origSplice = spliceRelayEnabled();
-  std::vector<Cell> cells;
-  for (size_t chains : {size_t{1}, size_t{4}}) {
-    for (bool fastpath : {true, false}) {
-      cells.push_back(runChainCell(chains, fastpath));
-      const Cell& c = cells.back();
-      std::printf(
-          "chain  workers=%zu fastpath=%-3s  %8.0f rec/s  p99 %7.3f ms  "
-          "%10.0f copy-B/rec  %7.2f syscalls/rec\n",
-          c.workers, c.fastpath ? "on" : "off", c.rps, c.p99Ms,
-          c.copyBytesPerReq, c.syscallsPerReq);
-    }
-  }
   // The first Testbed in the process pays one-time costs that later
-  // ones reuse; whichever e2e cell ran first read ~25% fewer req/s.
-  // A discarded cell takes that hit so both measured cells start warm.
-  (void)runProxyCell(true);
-  for (bool fastpath : {true, false}) {
-    cells.push_back(runProxyCell(fastpath));
-    const Cell& c = cells.back();
-    std::printf(
-        "e2e    workers=%zu fastpath=%-3s  %8.0f req/s  p99 %7.3f ms  "
-        "%10.0f copy-B/req  %7.2f syscalls/req  (%llu errors)\n",
-        c.workers, c.fastpath ? "on" : "off", c.rps, c.p99Ms,
-        c.copyBytesPerReq, c.syscallsPerReq,
-        static_cast<unsigned long long>(c.errors));
-  }
-  setSpliceRelayEnabled(origSplice);
+  // ones reuse; a discarded warm-up run takes that hit so the measured
+  // cell starts warm.
+  (void)runProxyCell();
+  Cell c = runProxyCell();
+  std::printf(
+      "e2e    %8.0f req/s  p99 %7.3f ms  %10.0f copy-B/req  "
+      "%7.2f syscalls/req  (%llu errors)\n",
+      c.rps, c.p99Ms, c.copyBytesPerReq, c.syscallsPerReq,
+      static_cast<unsigned long long>(c.errors));
 
-  auto find = [&](const char* mode, size_t w, bool f) -> const Cell* {
-    for (const auto& c : cells) {
-      if (c.mode == mode && c.workers == w && c.fastpath == f) {
-        return &c;
-      }
-    }
-    return nullptr;
-  };
-  const Cell* on4 = find("tunnel_chain", 4, true);
-  const Cell* off4 = find("tunnel_chain", 4, false);
-  bench::section("trajectory");
-  if (on4 != nullptr && off4 != nullptr) {
-    bench::row("copy-bytes/record, fastpath off (w=4)", off4->copyBytesPerReq,
-               "B");
-    bench::row("copy-bytes/record, fastpath on  (w=4)", on4->copyBytesPerReq,
-               "B");
-    if (on4->copyBytesPerReq > 0) {
-      bench::row("reduction", off4->copyBytesPerReq / on4->copyBytesPerReq,
-                 "x");
-    }
-  }
-
-  writeJson(cells, "BENCH_relay.json");
+  writeJson(c, "BENCH_relay.json");
   std::printf("\nwrote BENCH_relay.json\n");
 
-  uint64_t total = 0;
-  for (const auto& c : cells) {
-    total += c.requests;
-  }
-  if (total == 0) {
-    std::fprintf(stderr, "error: no records moved in any cell\n");
-    return 1;
-  }
-  // Acceptance gate: the fast path must actually splice, and must cut
-  // copy-bytes/record >=2x at chains=4.
-  if (on4 == nullptr || off4 == nullptr || on4->spliceBytes == 0) {
-    std::fprintf(stderr,
-                 "error: the fast-path cell moved no spliced bytes — the "
-                 "relay ran the fallback pump\n");
-    return 1;
-  }
-  // A fully spliced window can legitimately copy zero bytes — that is
-  // an infinite reduction, not a failure; only a ratio under 2x fails.
-  if (off4->copyBytesPerReq <= 0 ||
-      (on4->copyBytesPerReq > 0 &&
-       off4->copyBytesPerReq / on4->copyBytesPerReq < 2.0)) {
-    std::fprintf(stderr,
-                 "error: splice did not achieve the 2x copy-bytes/record "
-                 "reduction at chains=4 (off=%.0f on=%.0f)\n",
-                 off4->copyBytesPerReq, on4->copyBytesPerReq);
+  if (c.requests == 0) {
+    std::fprintf(stderr, "error: no request completed\n");
     return 1;
   }
   return 0;

@@ -50,10 +50,11 @@ METRICS = {
     "datagrams_per_sec": (+1, 5000.0),
     "syscalls_per_datagram": (-1, 0.05),
     "p99_burst_ms": (-1, 1.0),
-    # Reduced-copy relay plane (bench_relay). copy_bytes_per_req is
-    # structural — a spliced tunnel cell copies ~0 bytes/record, so any
-    # growth past the floor means payload re-entered userspace. The
-    # syscall floor is wide enough to absorb pipe-refill jitter.
+    # Edge relay mode (bench_relay's streamed-response cell).
+    # copy_bytes_per_req is structural — a streamed 256 KiB body is
+    # copied a fixed number of times per hop, so growth past the floor
+    # means the body is being re-buffered. The syscall floor absorbs
+    # read-size jitter.
     "copy_bytes_per_req": (-1, 256.0),
     "syscalls_per_req": (-1, 0.5),
     # Event-engine plane (bench_event_engine), keyed by backend /
@@ -82,7 +83,6 @@ KEY_FIELDS = (
     ("tracing", "tracing", True),
     ("udp_workers", "udp_workers", None),
     ("mode", "mode", None),
-    ("splice", "splice", None),
     ("recorder", "recorder", True),
     ("family", "family", None),
     ("backend", "backend", None),

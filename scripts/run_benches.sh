@@ -21,8 +21,9 @@ done
 
 if [ "$SMOKE" = 1 ]; then
   export ZDR_BENCH_SMOKE=1
-  # Figure benches plus the gated structural benches: bench_relay's 2x
-  # copy-bytes gate is structural (spliced bytes never cross userspace);
+  # Figure benches plus the gated structural benches: bench_relay
+  # writes the streamed-response cell whose copy-bytes and syscalls
+  # per request its CI regression gate reads;
   # bench_release_controller gates on rollout outcomes (clean completes
   # with zero client errors, regressed rolls back), not timings;
   # bench_event_engine writes the idle-fleet and timer-heap cells its CI

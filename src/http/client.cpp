@@ -41,6 +41,17 @@ void Client::ensureConnected(std::function<void(std::error_code)> next) {
                            Result r;
                            r.response = self->parser_.message();
                            r.ok = r.response.status < 500;
+                           auto conn = r.response.headers.get("Connection");
+                           if (conn && Headers::nameEquals(*conn, "close")) {
+                             // RFC 9112 §9.6: the server closes after
+                             // this response, so the next request must
+                             // dial fresh. The close callback goes
+                             // first: with busy_ still set it would
+                             // turn this good response into an error.
+                             auto done = std::move(self->conn_);
+                             done->setCloseCallback(nullptr);
+                             done->close({});
+                           }
                            self->finish(r);
                          }
                        });

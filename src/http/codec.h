@@ -75,6 +75,12 @@ class Parser {
   [[nodiscard]] bool failed() const noexcept {
     return phase_ == detail::Phase::kError;
   }
+  // A message has started (its start line is consumed) and is not yet
+  // complete. False between messages on a keep-alive connection.
+  [[nodiscard]] bool inProgress() const noexcept {
+    return phase_ != detail::Phase::kStartLine &&
+           phase_ != detail::Phase::kDone;
+  }
   // Total decoded body bytes seen so far (streamed or accumulated).
   [[nodiscard]] uint64_t bodyBytesSeen() const noexcept { return bodySeen_; }
   [[nodiscard]] ChunkState chunkState() const noexcept;

@@ -40,9 +40,9 @@ uint64_t newId();
 // windows are directly comparable.
 uint64_t nowNs();
 
-// Global tracing gate (like setSpliceRelayEnabled): span recording and
-// header propagation are skipped entirely when off. Instruments
-// (counters/histograms) are unaffected.
+// Global tracing gate: span recording and header propagation are
+// skipped entirely when off. Instruments (counters/histograms) are
+// unaffected.
 void setTracingEnabled(bool on);
 bool tracingEnabled();
 

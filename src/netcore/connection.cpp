@@ -17,13 +17,6 @@ constexpr size_t kMaxIov = 64;
 // opening a new one, so bursts of tiny frames don't bloat the iovec
 // list.
 constexpr size_t kSegmentMergeCap = 16 * 1024;
-// Bytes requested per splice(2) into the relay pipe. The pipe's own
-// capacity (64 KiB default) is the real cap; asking for more just lets
-// one syscall fill it.
-constexpr size_t kSpliceChunk = 256 * 1024;
-// Copying-pump backpressure: stop reading while the sink holds more
-// than this many unflushed bytes.
-constexpr size_t kRelayHighWater = 256 * 1024;
 
 bool wouldBlock(const std::error_code& ec) noexcept {
   return ec == std::errc::operation_would_block ||
@@ -75,10 +68,6 @@ void Connection::handleEvents(uint32_t events) {
 }
 
 void Connection::handleReadable() {
-  if (relaySink_) {
-    pumpRelay();
-    return;
-  }
   while (sock_.valid()) {
     // Scatter read: land bytes directly in the input buffer's writable
     // tail, with a stack chunk as overflow so one syscall can pull more
@@ -187,17 +176,6 @@ void Connection::flushOut() {
       auto cb = drainCb_;  // same self-close hazard as dataCb_
       cb();
     }
-    if (relayKick_) {
-      // A relay source paused because this side was blocked; now that
-      // every queued byte reached the kernel, restart its pump.
-      relayKick_ = false;
-      if (auto src = relaySource_.lock()) {
-        if (!src->closed_) {
-          src->resumeRead();
-          src->pumpRelay();
-        }
-      }
-    }
     if (closeOnDrain_ && !closed_) {
       close({});
       return;
@@ -275,13 +253,7 @@ void Connection::updateInterest() {
   if (!sock_.valid() || !registered_) {
     return;
   }
-  // Read interest is masked while a relay pump waits on its sink
-  // (level-triggered kEvRead would busy-loop otherwise); write interest
-  // covers queued bytes and a relay source waiting for this socket to
-  // become writable again.
-  uint32_t ev =
-      (readPaused_ ? 0u : static_cast<uint32_t>(kEvRead)) |
-      ((outBytes_ > 0 || relayKick_) ? static_cast<uint32_t>(kEvWrite) : 0u);
+  uint32_t ev = kEvRead | (outBytes_ > 0 ? kEvWrite : 0u);
   if (ev != interest_) {
     interest_ = ev;
     loop_.modifyFd(sock_.fd(), ev);
@@ -316,7 +288,6 @@ void Connection::close(std::error_code reason) {
     fault::FaultRegistry::instance().onFdClosed(sock_.fd());
   }
   sock_.close();
-  releaseRelayState();
   // Callbacks routinely capture shared_ptrs to the object that owns
   // this connection; dropping them here breaks the reference cycle the
   // moment the connection dies.
@@ -342,212 +313,6 @@ void Connection::closeAfterFlush() {
     close({});
   } else {
     closeOnDrain_ = true;
-  }
-}
-
-// ------------------------------------------------------------- relay mode
-
-void Connection::startRelayTo(std::shared_ptr<Connection> sink) {
-  if (closed_ || !sock_.valid() || !sink || !sink->open()) {
-    return;
-  }
-  relaySink_ = std::move(sink);
-  relaySink_->relaySource_ = weak_from_this();
-  relayEof_ = false;
-  // Bytes that arrived before the flip (pipelined after a handshake,
-  // say) go through the sink's normal send path ahead of the pump.
-  if (!in_.empty()) {
-    auto r = in_.readable();
-    relayedBytes_ += r.size();
-    relaySink_->send(r);
-    in_.clear();
-  }
-  resumeRead();
-  pumpRelay();
-}
-
-void Connection::stopRelay() {
-  if (!relaySink_) {
-    return;
-  }
-  auto sink = relaySink_;
-  if (relayPipe_.buffered > 0 && sink->open()) {
-    drainPipeToSink(*sink);  // best-effort; residue closes the pipe below
-  }
-  releaseRelayState();
-  if (!closed_) {
-    resumeRead();
-    updateInterest();
-  }
-}
-
-void Connection::releaseRelayState() {
-  if (relayPipe_.valid()) {
-    PipePool::forThisThread().release(std::move(relayPipe_));
-  }
-  relaySink_.reset();
-  relayKick_ = false;
-  relayEof_ = false;
-  readPaused_ = false;
-}
-
-void Connection::resumeRead() {
-  if (readPaused_) {
-    readPaused_ = false;
-    if (!closed_) {
-      updateInterest();
-    }
-  }
-}
-
-void Connection::waitForSink(Connection& sink) {
-  if (!readPaused_) {
-    readPaused_ = true;
-    updateInterest();
-  }
-  sink.relayKick_ = true;
-  sink.relaySource_ = weak_from_this();
-  sink.updateInterest();
-}
-
-void Connection::pumpRelay() {
-  auto sink = relaySink_;  // keep the pair alive across callbacks
-  if (!sink || closed_ || !sock_.valid()) {
-    return;
-  }
-  if (!sink->open()) {
-    close(std::make_error_code(std::errc::connection_reset));
-    return;
-  }
-  bool fast = spliceRelayEnabled();
-  if (fast && fault::active()) {
-    // splice(2) bypasses the byte-level fault hooks in Socket; an fd
-    // with an armed plan must take the copying pump so kill-at-byte /
-    // truncate land at exact offsets.
-    auto& reg = fault::FaultRegistry::instance();
-    if (reg.planFor(sock_.fd()) || reg.planFor(sink->fd())) {
-      fast = false;
-    }
-  }
-  if (fast && !relayPipe_.valid()) {
-    relayPipe_ = PipePool::forThisThread().acquire();
-    if (!relayPipe_.valid()) {
-      fast = false;  // pipe2 failed (fd exhaustion): copy instead
-    }
-  }
-  if (!fast && relayPipe_.buffered > 0) {
-    // Mid-stream switch to the copying pump: in-kernel residue must
-    // drain first to preserve byte order.
-    if (!drainPipeToSink(*sink)) {
-      return;
-    }
-  }
-  if (fast) {
-    pumpSplice(*sink);
-  } else {
-    pumpCopy(*sink);
-  }
-}
-
-// Moves pipe contents into the sink socket. Returns true when the pipe
-// emptied; false when blocked (pump re-armed via the sink) or dead.
-bool Connection::drainPipeToSink(Connection& sink) {
-  while (relayPipe_.buffered > 0) {
-    if (sink.pendingOutput() > 0) {
-      // The sink still has userspace-queued bytes; splicing directly
-      // to its socket would overtake them.
-      waitForSink(sink);
-      return false;
-    }
-    std::error_code ec;
-    size_t n = sink.socket().spliceOut(relayPipe_.rd.get(),
-                                       relayPipe_.buffered, ec);
-    if (ec) {
-      if (wouldBlock(ec)) {
-        waitForSink(sink);
-        return false;
-      }
-      if (ec == std::errc::interrupted) {
-        continue;
-      }
-      sink.close(ec);
-      if (!closed_) {
-        close(std::make_error_code(std::errc::connection_reset));
-      }
-      return false;
-    }
-    relayPipe_.buffered -= n;
-    relayedBytes_ += n;
-  }
-  return true;
-}
-
-void Connection::pumpSplice(Connection& sink) {
-  for (;;) {
-    if (!drainPipeToSink(sink)) {
-      return;
-    }
-    if (relayEof_) {
-      close({});  // orderly EOF, pipe fully drained
-      return;
-    }
-    std::error_code ec;
-    size_t n = sock_.spliceIn(relayPipe_.wr.get(), kSpliceChunk, ec);
-    if (ec) {
-      if (wouldBlock(ec)) {
-        // The pipe is empty (just drained), so EAGAIN means the socket
-        // has nothing to read: wait for kEvRead.
-        resumeRead();
-        return;
-      }
-      if (ec == std::errc::interrupted) {
-        continue;
-      }
-      close(ec);
-      return;
-    }
-    if (n == 0) {
-      relayEof_ = true;  // drain residue, then close
-      continue;
-    }
-    relayPipe_.buffered += n;
-  }
-}
-
-void Connection::pumpCopy(Connection& sink) {
-  while (sock_.valid() && !closed_) {
-    if (sink.pendingOutput() >= kRelayHighWater) {
-      waitForSink(sink);
-      return;
-    }
-    std::array<std::byte, 16384> chunk;
-    std::error_code ec;
-    size_t n = sock_.read(chunk, ec);
-    if (ec) {
-      if (wouldBlock(ec)) {
-        resumeRead();
-        return;
-      }
-      if (ec == std::errc::interrupted) {
-        continue;
-      }
-      close(ec);
-      return;
-    }
-    if (n == 0) {
-      close({});
-      return;
-    }
-    relayedBytes_ += n;
-    sink.send(std::span(chunk.data(), n));
-    if (!sink.open()) {
-      close(std::make_error_code(std::errc::connection_reset));
-      return;
-    }
-    if (n < chunk.size()) {
-      resumeRead();
-      return;  // socket drained
-    }
   }
 }
 

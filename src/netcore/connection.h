@@ -16,7 +16,6 @@
 #include "netcore/buffer.h"
 #include "netcore/event_loop.h"
 #include "netcore/socket.h"
-#include "netcore/splice_relay.h"
 
 namespace zdr {
 
@@ -67,29 +66,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Closes once the output buffer drains (graceful).
   void closeAfterFlush();
 
-  // ---- Relay mode (reduced-copy fast path) --------------------------
-  //
-  // startRelayTo(sink) turns this connection into a pass-through pump:
-  // every byte read from this socket is forwarded to `sink` without
-  // touching the data callback or the input buffer. When the splice
-  // fast path is enabled (and neither fd has an armed fault plan) the
-  // bytes move socket→pipe→socket entirely in-kernel; otherwise an
-  // equivalent userspace read→send pump runs with byte-identical
-  // semantics. Relaying is per-direction — call it on both connections
-  // for a bidirectional tunnel. The sink may be swapped mid-stream
-  // (DCR make-before-break) by calling startRelayTo again. EOF or an
-  // error on this socket closes this connection normally (the close
-  // callback fires); the caller owns tearing down the pair. Both
-  // connections must live on the same event loop.
-  void startRelayTo(std::shared_ptr<Connection> sink);
-  // Leaves relay mode: pending in-kernel pipe bytes are flushed to the
-  // sink best-effort, the pipe returns to the pool, and the data
-  // callback resumes receiving subsequent bytes.
-  void stopRelay();
-  [[nodiscard]] bool relaying() const noexcept { return relaySink_ != nullptr; }
-  // Bytes forwarded to the sink since relay mode started (both paths).
-  [[nodiscard]] uint64_t relayedBytes() const noexcept { return relayedBytes_; }
-
   [[nodiscard]] bool open() const noexcept { return sock_.valid(); }
   // True once start() registered the fd (pooled connections are handed
   // out already started).
@@ -117,22 +93,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // the queue empties or the kernel pushes back. Returns the failing
   // write's error, EAGAIN included; shared by flushOut() and close().
   std::error_code writeQueued();
-  // writeQueued(), then the drain/relay-kick/close-on-drain follow-ups
-  // and write-interest bookkeeping.
+  // writeQueued(), then the drain/close-on-drain follow-ups and
+  // write-interest bookkeeping.
   void flushOut();
   // Defers one flushOut() to the end of the current loop iteration so
   // every send() issued while handling this iteration's events shares
   // one syscall.
   void scheduleFlush();
-
-  // Relay pump internals (see connection.cpp for the state machine).
-  void pumpRelay();
-  void pumpSplice(Connection& sink);
-  void pumpCopy(Connection& sink);
-  bool drainPipeToSink(Connection& sink);
-  void waitForSink(Connection& sink);
-  void resumeRead();
-  void releaseRelayState();
 
   EventLoop& loop_;
   TcpSocket sock_;
@@ -153,18 +120,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool delayArmed_ = false;  // fault injection: a delayed flush is pending
   uint64_t faultInjections_ = 0;  // snapshotted at close(); see accessor
   bool flushScheduled_ = false;
-
-  // Relay state. relaySink_ is where bytes read here go; relaySource_
-  // points back from a sink to the pump to kick when this side drains.
-  // relaySink_ is the only shared_ptr in the pair cycle and is cleared
-  // in close()/stopRelay(), so relay pairs cannot leak each other.
-  std::shared_ptr<Connection> relaySink_;
-  std::weak_ptr<Connection> relaySource_;
-  RelayPipe relayPipe_;
-  uint64_t relayedBytes_ = 0;
-  bool readPaused_ = false;   // kEvRead masked while the sink is blocked
-  bool relayKick_ = false;    // sink side: wake the source when writable
-  bool relayEof_ = false;     // source hit EOF; pipe residue still due
 };
 
 using ConnectionPtr = std::shared_ptr<Connection>;

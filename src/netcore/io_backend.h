@@ -13,8 +13,7 @@
 //
 // Selection: ZDR_IO_BACKEND=epoll|io_uring|auto (see io_stats.h).
 // epoll is the default; io_uring requests degrade to epoll with one
-// stderr note when the kernel lacks the syscalls (ENOSYS, seccomp) —
-// the same graceful-fallback idiom as ZDR_NO_SPLICE_RELAY.
+// stderr note when the kernel lacks the syscalls (ENOSYS, seccomp).
 #pragma once
 
 #include <cstdint>

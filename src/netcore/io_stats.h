@@ -1,5 +1,4 @@
-// Process-wide socket I/O counters, the splice-relay kill switch and
-// the I/O backend choice.
+// Process-wide socket I/O counters and the I/O backend choice.
 //
 // The counters exist so the benches can report syscalls and copied
 // bytes per request without strace. They are plain relaxed atomics:
@@ -33,17 +32,10 @@ struct IoStats {
   // Batch-fill distribution: datagrams moved per batched syscall.
   HdrHistogram udpDatagramsPerSyscall;
 
-  // Reduced-copy relay plane. bytesRead/bytesWritten above already
-  // count every byte that crossed userspace; spliceBytes counts bytes
-  // that moved socket→pipe→socket entirely in-kernel (never touching a
-  // userspace Buffer). copy-bytes/req = (bytesRead + bytesWritten) /
-  // requests.
+  // Always 0: no code path splices; kept so zdrbench's
+  // netcore.splice_share still compiles.
   std::atomic<uint64_t> spliceCalls{0};
   std::atomic<uint64_t> spliceBytes{0};
-  // Relay pipe pool: pipe2() pairs created vs handed back out of the
-  // per-thread free list.
-  std::atomic<uint64_t> pipePoolCreated{0};
-  std::atomic<uint64_t> pipePoolReused{0};
 
   void reset() noexcept {
     readCalls = 0;
@@ -58,8 +50,6 @@ struct IoStats {
     udpDatagramsPerSyscall.reset();
     spliceCalls = 0;
     spliceBytes = 0;
-    pipePoolCreated = 0;
-    pipePoolReused = 0;
   }
   [[nodiscard]] uint64_t totalWriteSyscalls() const noexcept {
     return writeCalls.load(std::memory_order_relaxed) +
@@ -74,8 +64,7 @@ struct IoStats {
            udpBatchSyscalls.load(std::memory_order_relaxed);
   }
   // Bytes that crossed a userspace buffer (copied at least once each
-  // way). Spliced bytes are deliberately absent: they are the bytes
-  // the relay fast path stopped copying.
+  // way); copy-bytes/req = copiedBytes() / requests.
   [[nodiscard]] uint64_t copiedBytes() const noexcept {
     return bytesRead.load(std::memory_order_relaxed) +
            bytesWritten.load(std::memory_order_relaxed);
@@ -88,11 +77,6 @@ inline IoStats& ioStats() noexcept {
 }
 
 namespace detail {
-inline std::atomic<bool>& spliceRelayFlag() noexcept {
-  static std::atomic<bool> enabled{std::getenv("ZDR_NO_SPLICE_RELAY") ==
-                                   nullptr};
-  return enabled;
-}
 inline std::atomic<int>& ioBackendFlag() noexcept {
   // 0 = epoll, 1 = io_uring (requested; may still fall back at loop
   // construction if the kernel can't run it).
@@ -107,22 +91,10 @@ inline std::atomic<int>& ioBackendFlag() noexcept {
 }
 }  // namespace detail
 
-// When false (ZDR_NO_SPLICE_RELAY=1, or setSpliceRelayEnabled(false)),
-// Connection relay mode pumps bytes through a userspace buffer (read →
-// send) instead of socket→pipe→socket splice(2). Byte-identical
-// semantics either way; the bench flips this to measure both.
-inline bool spliceRelayEnabled() noexcept {
-  return detail::spliceRelayFlag().load(std::memory_order_relaxed);
-}
-inline void setSpliceRelayEnabled(bool on) noexcept {
-  detail::spliceRelayFlag().store(on, std::memory_order_relaxed);
-}
-
 // Requested EventLoop I/O backend (ZDR_IO_BACKEND=epoll|io_uring).
 // epoll is the default; an io_uring request degrades to epoll with one
 // stderr note when the kernel can't run the ring (ENOSYS, seccomp,
-// missing EXT_ARG) — same graceful-fallback idiom as the other kill
-// switches. Read at loop construction only.
+// missing EXT_ARG). Read at loop construction only.
 enum class IoBackendChoice : uint8_t { kEpoll = 0, kIoUring = 1 };
 inline IoBackendChoice ioBackendChoice() noexcept {
   return detail::ioBackendFlag().load(std::memory_order_relaxed) == 1

@@ -1,8 +1,8 @@
 // Key→value map with LRU recency ordering.
 //
 // One std::list (MRU at the front) plus an index of list iterators;
-// touch() refreshes recency with a splice, so iterators stay stable
-// and no node is reallocated. This is the list-splice idiom that used
+// touch() refreshes recency with std::list::splice, so iterators stay
+// stable and no node is reallocated. This is the list idiom that used
 // to be duplicated verbatim by the edge response cache and the L4
 // connection table — policy (TTL, eviction counters, locking, the
 // evict-before-or-after-insert ordering contract) deliberately stays

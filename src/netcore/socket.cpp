@@ -237,26 +237,6 @@ size_t TcpSocket::writev(std::span<const iovec> iov, std::error_code& ec) {
   return n;
 }
 
-size_t TcpSocket::spliceIn(int pipeWr, size_t max, std::error_code& ec) {
-  ioStats().spliceCalls.fetch_add(1, std::memory_order_relaxed);
-  size_t n = detail::ioResult(
-      ::splice(fd_.get(), nullptr, pipeWr, nullptr, max,
-               SPLICE_F_NONBLOCK | SPLICE_F_MOVE),
-      ec);
-  ioStats().spliceBytes.fetch_add(n, std::memory_order_relaxed);
-  return n;
-}
-
-size_t TcpSocket::spliceOut(int pipeRd, size_t max, std::error_code& ec) {
-  ioStats().spliceCalls.fetch_add(1, std::memory_order_relaxed);
-  size_t n = detail::ioResult(
-      ::splice(pipeRd, nullptr, fd_.get(), nullptr, max,
-               SPLICE_F_NONBLOCK | SPLICE_F_MOVE),
-      ec);
-  ioStats().spliceBytes.fetch_add(n, std::memory_order_relaxed);
-  return n;
-}
-
 std::error_code TcpSocket::connectError() const {
   int err = detail::getSoError(fd_.get());
   return {err, std::generic_category()};
@@ -315,18 +295,28 @@ std::optional<TcpSocket> TcpListener::accept(std::error_code& ec) {
 
 UdpSocket::UdpSocket(const SocketAddr& addr, const BindOptions& opts) {
   FdGuard fd = detail::makeSocket(AF_INET, SOCK_DGRAM);
-  // The kernel may hand an ephemeral (port 0) bind with SO_REUSEADDR a
-  // port that another SO_REUSEADDR socket already holds, and the two
-  // then share its datagrams. Reuse only means something on a fixed
-  // port, so a lone ephemeral socket goes without it.
+  // The kernel may hand an ephemeral (port 0) bind with SO_REUSEADDR or
+  // SO_REUSEPORT a port that another such same-uid socket already
+  // holds, and the two then silently share its datagrams. So a port-0
+  // bind goes without both and gets a port no socket holds; a reuseport
+  // socket turns SO_REUSEPORT on after the bind, which lets the rest of
+  // its ring (bindUdpRing) join that port.
   BindOptions bindOpts = opts;
-  if (addr.port() == 0 && !opts.reusePort) {
+  if (addr.port() == 0) {
     bindOpts.reuseAddr = false;
+    bindOpts.reusePort = false;
   }
   detail::applyBindOptions(fd.get(), bindOpts);
   sockaddr_in sa = addr.raw();
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
     throwErrno("bind(udp) " + addr.str());
+  }
+  if (addr.port() == 0 && opts.reusePort) {
+    int one = 1;
+    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                     sizeof(one)) < 0) {
+      throwErrno("setsockopt(SO_REUSEPORT)");
+    }
   }
   fd_ = std::move(fd);
 }

@@ -69,14 +69,6 @@ class TcpSocket {
   // message-level truncation semantics match the scalar write path.
   size_t writev(std::span<const iovec> iov, std::error_code& ec);
 
-  // Relay fast path: splice(2) between this socket and a pipe end.
-  // Bytes never cross userspace, so these bypass fault injection by
-  // construction — relay callers must route fds with an armed fault
-  // plan through the copying pump instead (Connection does). Returns
-  // bytes moved; 0 with ec clear means orderly EOF (spliceIn only).
-  size_t spliceIn(int pipeWr, size_t max, std::error_code& ec);   // socket→pipe
-  size_t spliceOut(int pipeRd, size_t max, std::error_code& ec);  // pipe→socket
-
   [[nodiscard]] std::error_code connectError() const;
   void shutdownWrite() noexcept;
   void setNoDelay(bool enabled);

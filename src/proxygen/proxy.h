@@ -154,14 +154,6 @@ class Proxy {
     // of being re-buffered whole and serialized again. 0 disables
     // streaming.
     size_t relayThresholdBytes = 64 * 1024;
-    // MQTT tunnels ride dedicated pass-through TCP connections between
-    // Edge and Origin (a "ZDRTUN" preface on the trunk port) instead
-    // of h2 trunk streams, so both hops can relay with splice(2).
-    // DCR resume works identically: the draining origin's
-    // reconnect_solicitation still arrives over the h2 trunk, and the
-    // edge re-attaches tunnels via a fresh pass-through connection to
-    // a healthy peer (make-before-break).
-    bool mqttPassThrough = false;
   };
 
   // Fresh start: binds all configured VIPs.
@@ -209,10 +201,6 @@ class Proxy {
   [[nodiscard]] size_t mqttTunnelCount() const noexcept {
     return mqttTunnels_.size();
   }
-  // Origin role: live pass-through MQTT tunnels (ZDRTUN preface).
-  [[nodiscard]] size_t directTunnelCount() const noexcept {
-    return directTunnelCount_.load(std::memory_order_acquire);
-  }
   [[nodiscard]] size_t trunkSessionCount() const noexcept {
     return trunkSessionCount_.load(std::memory_order_acquire);
   }
@@ -236,7 +224,6 @@ class Proxy {
   struct TrunkServerConn;  // origin: one accepted trunk session
   struct OriginRequest;    // origin: one HTTP request being proxied
   struct BrokerTunnel;     // origin: one MQTT tunnel to a broker
-  struct DirectTunnel;     // origin: one pass-through tunnel to a broker
   // One event-loop shard: a worker loop plus every piece of per-
   // connection state confined to it (defined in proxy_detail.h).
   struct Shard;
@@ -302,10 +289,24 @@ class Proxy {
                       std::string_view fragment, bool last);
   void edgeServeLocal(const std::shared_ptr<UserHttpConn>& uc,
                       const http::Response& res);
-  // Writes the buffered upstream response to the user and recycles or
-  // (when draining) retires the connection.
+  // Writes the buffered upstream response to the user and finishes
+  // the request.
   void edgeDeliverUpstreamResponse(const std::shared_ptr<UserHttpConn>& uc);
+  // The one egress for user responses: serializes `res` (only its head
+  // when `headOnly`, for relay mode) onto the user connection. A
+  // draining edge marks it Connection: close; edgeFinishUserRequest
+  // then retires the connection once the response flushes (§4.1).
+  void edgeSendResponse(const std::shared_ptr<UserHttpConn>& uc,
+                        const http::Response& res, bool headOnly = false);
+  // Ends the request's ledger and recycles the connection for the next
+  // keep-alive request, or closes it after the flush when the edge is
+  // draining or the response overtook the request body.
   void edgeFinishUserRequest(const std::shared_ptr<UserHttpConn>& uc);
+  // Drain start: closes every user connection with no request in
+  // progress, so an idle keep-alive client reconnects to the updated
+  // instance now instead of starting a request here that the drain
+  // deadline would cut.
+  void edgeCloseIdleUserConns(Shard& sh);
   void edgeFailUserRequest(const std::shared_ptr<UserHttpConn>& uc,
                            int status, const std::string& why);
   TrunkLink* edgePickTrunk(Shard& sh);
@@ -315,14 +316,6 @@ class Proxy {
   void edgeOnMqttAccept(TcpSocket sock);
   void edgeOpenMqttTunnel(const std::shared_ptr<MqttTunnel>& tun,
                           bool resume);
-  // Pass-through variant: dials a dedicated TCP connection to an
-  // origin's trunk port, sends the ZDRTUN preface, and relays
-  // user↔origin with the splice fast path. For resume, solTraceId/
-  // solSpanId carry the solicitation trace (as in edgeResumeMqttTunnels)
-  // and origin names the healthy peer to re-attach through.
-  void edgeOpenDirectTunnel(const std::shared_ptr<MqttTunnel>& tun,
-                            bool resume, const BackendRef& origin,
-                            uint64_t solTraceId = 0, uint64_t solSpanId = 0);
   // solTraceId/solSpanId: trace carried by the reconnect_solicitation
   // frame (0 ⇒ none; a fresh trace is minted per tunnel).
   void edgeResumeMqttTunnels(TrunkLink* fromLink, uint64_t solTraceId = 0,
@@ -357,16 +350,6 @@ class Proxy {
                               uint32_t streamId, const std::string& userId,
                               bool resume, uint64_t traceId = 0,
                               uint64_t parentSpanId = 0);
-  // Builds the h2 trunk session over an accepted connection whose
-  // preface sniff came back "not a ZDRTUN tunnel".
-  void originStartTrunkSession(Shard& sh, const ConnectionPtr& conn);
-  // ZDRTUN pass-through: dials the user's broker and relays
-  // tunnel↔broker with the splice fast path. For resume, synthesizes
-  // the re-attach CONNECT, consumes the CONNACK, and answers the edge
-  // with a one-line verdict before any broker byte flows.
-  void originOpenDirectTunnel(Shard& sh, const ConnectionPtr& conn,
-                              const std::string& userId, bool resume);
-  void originCloseDirectTunnel(const std::shared_ptr<DirectTunnel>& dt);
   const BackendRef* originPickAppServer(Shard& sh,
                                         const std::string& excludeName);
   const BackendRef* originBrokerFor(const std::string& userId);
@@ -423,7 +406,6 @@ class Proxy {
 
   std::atomic<size_t> userConnCount_{0};
   std::atomic<size_t> trunkSessionCount_{0};
-  std::atomic<size_t> directTunnelCount_{0};
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> hardDraining_{false};

@@ -448,8 +448,7 @@ void Proxy::startHardDrain() {
   drainTimer_ = loop_.runAfter(
       deadline,
       [this] {
-        if (userConnCount() + trunkSessionCount() + mqttTunnels_.size() +
-                directTunnelCount() > 0) {
+        if (userConnCount() + trunkSessionCount() + mqttTunnels_.size() > 0) {
           drainDeadlineHit_ = true;
           bump(config_.name + ".drain_deadline_exceeded");
           bump("release.drain_deadline_exceeded");
@@ -492,14 +491,19 @@ void Proxy::enterDrain() {
     quicServer_->enterDrain();
   }
 
+  if (config_.role == Role::kEdge) {
+    forEachShard([this](Shard& sh) { edgeCloseIdleUserConns(sh); });
+  }
   if (config_.role == Role::kOrigin) {
     forEachShard([this](Shard& sh) {
       for (const auto& tc : sh.trunkServerSessions) {
         tc->session->sendGoaway("zdr-drain");
-        if (config_.dcrEnabled) {
+        if (config_.dcrEnabled && !tc->brokerTunnels.empty()) {
           // §4.2: solicit the Edge to move MQTT tunnels to a healthy
-          // peer before we terminate. The payload carries the drain
-          // trace so the Edge's resume spans join it.
+          // peer before we terminate. Only trunks that carry a tunnel
+          // are asked: a solicitation elsewhere moves nothing. The
+          // payload carries the drain trace so the Edge's resume spans
+          // join it.
           tc->session->sendControl(
               h2::FrameType::kReconnectSolicitation,
               trace::formatTraceHeader(drainTraceId_, drainSpanId_));
@@ -534,6 +538,9 @@ void Proxy::enterDrain() {
                   return;
                 }
                 for (const auto& tc : sh->trunkServerSessions) {
+                  if (tc->brokerTunnels.empty()) {
+                    continue;  // its tunnels moved (or it never had one)
+                  }
                   tc->session->sendControl(
                       h2::FrameType::kReconnectSolicitation,
                       trace::formatTraceHeader(drainTraceId_, drainSpanId_));
@@ -557,8 +564,7 @@ void Proxy::enterDrain() {
   drainTimer_ = loop_.runAfter(
       deadline,
       [this] {
-        if (userConnCount() + trunkSessionCount() + mqttTunnels_.size() +
-                directTunnelCount() > 0) {
+        if (userConnCount() + trunkSessionCount() + mqttTunnels_.size() > 0) {
           drainDeadlineHit_ = true;
           bump(config_.name + ".drain_deadline_exceeded");
           bump("release.drain_deadline_exceeded");
@@ -583,7 +589,7 @@ void Proxy::drainWatchTick() {
     return;
   }
   if (userConnCount() == 0 && trunkSessionCount() == 0 &&
-      mqttTunnels_.empty() && directTunnelCount() == 0) {
+      mqttTunnels_.empty()) {
     bump(config_.name + ".drain_early_exit");
     tlPoint("drain_early_exit");
     terminate();
@@ -672,19 +678,6 @@ void Proxy::terminate() {
     }
     sh.trunkServerSessions.clear();
 
-    forcedCloses += sh.directTunnels.size();
-    for (const auto& dt : std::set<std::shared_ptr<DirectTunnel>>(
-             sh.directTunnels)) {
-      originCloseDirectTunnel(dt);
-    }
-    sh.directTunnels.clear();
-
-    for (const auto& conn :
-         std::set<ConnectionPtr>(sh.sniffingTrunkConns)) {
-      conn->close(std::make_error_code(std::errc::connection_reset));
-    }
-    sh.sniffingTrunkConns.clear();
-
     if (sh.appPool) {
       sh.appPool->closeAll();
       // Destroy on the shard's own thread: the pool's reap timer is
@@ -703,7 +696,6 @@ void Proxy::terminate() {
   });
   userConnCount_.store(0, std::memory_order_release);
   trunkSessionCount_.store(0, std::memory_order_release);
-  directTunnelCount_.store(0, std::memory_order_release);
   if (draining()) {
     bump(config_.name + ".drain_forced_closes", forcedCloses);
     bump("release.drain_forced_closes", forcedCloses);

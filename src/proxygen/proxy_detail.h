@@ -25,11 +25,6 @@ struct Proxy::Shard {
   std::set<std::shared_ptr<TrunkServerConn>> trunkServerSessions;
   std::unique_ptr<UpstreamPool> appPool;
   size_t appRoundRobin = 0;
-  // Accepted trunk-port connections whose first bytes have not yet
-  // told us whether they are an h2 trunk or a ZDRTUN pass-through
-  // tunnel. The set holds the only strong reference while sniffing.
-  std::set<ConnectionPtr> sniffingTrunkConns;
-  std::set<std::shared_ptr<DirectTunnel>> directTunnels;
 
   // Retry budget, windowed (see Config::retryBudgetRatio).
   uint64_t windowRequests = 0;
@@ -64,6 +59,10 @@ struct Proxy::UserHttpConn
     : std::enable_shared_from_this<Proxy::UserHttpConn> {
   Shard* shard = nullptr;
   ConnectionPtr conn;
+  // Socket bytes the parser has not consumed yet. Kept off the input
+  // buffer so processing can resume after a response completes
+  // (keep-alive turnover) without new socket activity.
+  Buffer stage;
   http::RequestParser parser;
   std::string bodyPending;  // decoded fragments awaiting forwarding
 
@@ -145,14 +144,6 @@ struct Proxy::MqttTunnel : std::enable_shared_from_this<Proxy::MqttTunnel> {
   bool tunnelUp = false;
   Buffer pendingToOrigin;  // user bytes buffered until the tunnel opens
 
-  // Pass-through mode (Config::mqttPassThrough): the tunnel rides a
-  // dedicated TCP connection to the origin's trunk port instead of an
-  // h2 stream; user↔direct relaying uses the splice fast path.
-  // originName records which origin serves it so a solicitation from
-  // that origin's trunk link can find the tunnels to move.
-  ConnectionPtr directConn;
-  std::string originName;
-
   // Disruption attribution fired for this tunnel (first cause wins;
   // terminate's forced close and the drop path both pass through here).
   bool disruptionNoted = false;
@@ -161,8 +152,6 @@ struct Proxy::MqttTunnel : std::enable_shared_from_this<Proxy::MqttTunnel> {
   bool resuming = false;
   TrunkLink* resumeLink = nullptr;
   uint32_t resumeStreamId = 0;
-  ConnectionPtr resumeDirectConn;  // pass-through resume leg
-  Buffer resumeVerdictBuf;         // buffers the ZDRTUN verdict line
 
   // DCR resume span: the trace id comes from the solicitation frame
   // (the draining origin's drain trace) so the resume hop joins it.
@@ -263,34 +252,6 @@ struct Proxy::BrokerTunnel
   trace::TraceContext trace{};
   uint64_t resumeStartNs = 0;
 };
-
-// Origin: one pass-through MQTT tunnel accepted on the trunk port
-// (ZDRTUN preface) and relayed to a broker. Both legs live on the
-// accepting shard's loop so Connection::startRelayTo can pair them.
-struct Proxy::DirectTunnel
-    : std::enable_shared_from_this<Proxy::DirectTunnel> {
-  Shard* shard = nullptr;
-  ConnectionPtr tunnelConn;  // edge-facing leg
-  ConnectionPtr brokerConn;
-  std::string userId;
-  bool resume = false;
-  bool up = false;       // relaying both ways
-  bool closed = false;
-  Buffer resumeParseBuf;  // buffers the broker CONNACK on resume
-};
-
-// Pass-through tunnel preface, sent by the edge as the first bytes on
-// a fresh trunk-port connection:
-//   "ZDRTUN <userId> <0|1>\n"      (1 ⇒ DCR resume)
-// The origin answers a resume — after privately completing the broker
-// re-attach handshake — with one verdict line ("ZDRTUN OK\n" or
-// "ZDRTUN GONE\n"); non-resume tunnels get no reply, the broker's own
-// CONNACK flows back through the relay. h2 trunk clients never emit
-// these bytes first (frame headers differ), so the sniff is
-// unambiguous.
-inline constexpr std::string_view kTunnelPreface = "ZDRTUN ";
-inline constexpr std::string_view kTunnelOk = "ZDRTUN OK\n";
-inline constexpr std::string_view kTunnelGone = "ZDRTUN GONE\n";
 
 // Pseudo-header names used on trunk streams.
 inline constexpr std::string_view kHdrMethod = ":method";

@@ -10,13 +10,6 @@ namespace zdr::proxygen {
 
 namespace {
 
-// Staging buffer pattern: each user connection drains socket bytes
-// into its own buffer so request processing can be re-triggered after
-// a response completes (keep-alive) without new socket activity.
-struct EdgeConnAdapter {
-  Buffer stage;
-};
-
 bool isCacheablePath(const std::string& path) {
   return path.rfind("/cached/", 0) == 0;
 }
@@ -50,13 +43,12 @@ void Proxy::edgeOnHttpAccept(Shard& sh, TcpSocket sock) {
   uc->parser.setBodyCallback(
       [raw](std::string_view frag) { raw->bodyPending.append(frag); });
 
-  auto stage = std::make_shared<Buffer>();
-  auto process = [this, uc, stage]() {
-    while (!stage->empty() || uc->parser.messageComplete()) {
+  auto process = [this, uc]() {
+    while (!uc->stage.empty() || uc->parser.messageComplete()) {
       if (uc->requestActive && uc->responseStarted) {
         return;  // no pipelining: wait for the response to finish
       }
-      auto st = uc->parser.feed(*stage);
+      auto st = uc->parser.feed(uc->stage);
       if (st == http::ParseStatus::kError) {
         bump("edge.err.bad_request");
         uc->conn->close(std::make_error_code(std::errc::protocol_error));
@@ -86,20 +78,17 @@ void Proxy::edgeOnHttpAccept(Shard& sh, TcpSocket sock) {
         }
         return;  // await upstream response
       }
-      if (stage->empty()) {
+      if (uc->stage.empty()) {
         return;
       }
     }
   };
 
-  uc->conn->setDataCallback([process, stage](Buffer& in) {
-    stage->append(in.readable());
+  uc->conn->setDataCallback([raw, process](Buffer& in) {
+    raw->stage.append(in.readable());
     in.clear();
     process();
   });
-  // Re-run processing after a response completes (keep-alive turnover).
-  uc->parser.setBodyCallback(
-      [raw](std::string_view frag) { raw->bodyPending.append(frag); });
   uc->conn->setCloseCallback([this, uc](std::error_code ec) {
     // Attribution: a scripted fault on this connection trumps the
     // generic causes (the E2E injects faults and demands they are
@@ -443,23 +432,9 @@ void Proxy::edgeServeLocal(const std::shared_ptr<UserHttpConn>& uc,
                            const http::Response& res) {
   uc->servedLocally = true;
   uc->lastStatus = res.status;
-  Buffer out;
-  if (draining_) {
-    // Drain migration: tell keep-alive clients to reconnect; their next
-    // connection lands on the updated instance (§4.1).
-    http::Response copy = res;
-    copy.headers.set("Connection", "close");
-    http::serialize(copy, out);
-  } else {
-    http::serialize(res, out);
-  }
-  uc->copyBytes += out.size();
-  uc->conn->send(out.readable());
+  edgeSendResponse(uc, res);
   if (uc->parser.messageComplete()) {
     edgeFinishUserRequest(uc);
-    if (draining_ && uc->conn->open()) {
-      uc->conn->closeAfterFlush();
-    }
   }
   // Otherwise the request body is still streaming in; it is discarded
   // as it arrives and the request finishes once the parser completes.
@@ -514,16 +489,42 @@ void Proxy::edgeDeliverUpstreamResponse(
   if (!uc->cacheKey.empty() && uc->upstreamResponse.status == 200) {
     edgeCache_.put(uc->cacheKey, uc->upstreamResponse);
   }
-  if (draining_) {
-    uc->upstreamResponse.headers.set("Connection", "close");
-  }
-  Buffer out;
-  http::serialize(uc->upstreamResponse, out);
-  uc->copyBytes += out.size();
-  uc->conn->send(out.readable());
+  edgeSendResponse(uc, uc->upstreamResponse);
   edgeFinishUserRequest(uc);
-  if (draining_ && uc->conn->open()) {
-    uc->conn->closeAfterFlush();  // migrate the client off this instance
+}
+
+void Proxy::edgeSendResponse(const std::shared_ptr<UserHttpConn>& uc,
+                             const http::Response& res, bool headOnly) {
+  const http::Response* out = &res;
+  http::Response closing;
+  if (draining_) {
+    // Drain migration: tell the keep-alive client to reconnect; its
+    // next connection lands on the updated instance (§4.1).
+    closing = res;
+    closing.headers.set("Connection", "close");
+    out = &closing;
+  }
+  Buffer buf;
+  if (headOnly) {
+    http::serializeHead(*out, buf);
+  } else {
+    http::serialize(*out, buf);
+  }
+  uc->copyBytes += buf.size();
+  uc->conn->send(buf.readable());
+}
+
+void Proxy::edgeCloseIdleUserConns(Shard& sh) {
+  for (const auto& uc :
+       std::set<std::shared_ptr<UserHttpConn>>(sh.userConns)) {
+    // Pull bytes the kernel already holds first: a request that just
+    // arrived is served here rather than cut.
+    uc->conn->drainPending();
+    if (uc->conn->open() && !uc->requestActive && uc->stage.empty() &&
+        !uc->parser.inProgress()) {
+      bump(config_.name + ".drain_idle_closed");
+      uc->conn->closeAfterFlush();
+    }
   }
 }
 
@@ -564,11 +565,11 @@ void Proxy::edgeFinishUserRequest(const std::shared_ptr<UserHttpConn>& uc) {
   // A final response delivered before the request body finished (379
   // replays surface this, as do early 5xx) leaves the connection
   // unsynchronized: close it rather than parse stray body bytes as a
-  // new request.
+  // new request. A draining edge retires every connection it answers.
   bool early = !uc->parser.messageComplete();
   uc->resetRequestState();
   uc->parser.reset();
-  if (early) {
+  if (early || draining_) {
     uc->conn->closeAfterFlush();
   }
 }
@@ -671,13 +672,7 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
               uc->relayActive = true;
               uc->cacheKey.clear();
               uc->lastStatus = uc->upstreamResponse.status;
-              if (draining_) {
-                uc->upstreamResponse.headers.set("Connection", "close");
-              }
-              Buffer out;
-              http::serializeHead(uc->upstreamResponse, out);
-              uc->copyBytes += out.size();
-              uc->conn->send(out.readable());
+              edgeSendResponse(uc, uc->upstreamResponse, /*headOnly=*/true);
               bump("edge.relay_mode_entered");
             }
             return;
@@ -750,9 +745,6 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
               if (end) {
                 bumpHot(hot_.responsesRelayed);
                 edgeFinishUserRequest(uc);
-                if (draining_ && uc->conn->open()) {
-                  uc->conn->closeAfterFlush();
-                }
               }
               return;
             }
@@ -825,10 +817,6 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
         };
         link->session->setCallbacks(std::move(cbs));
         link->session->start();
-        // The origin's listener sniffs the first bytes to tell trunk
-        // frames from ZDRTUN prefaces; a ping makes an otherwise idle
-        // trunk announce itself instead of sitting unregistered.
-        link->session->sendPing();
         bump("edge.trunk_established");
       });
 }
@@ -944,21 +932,7 @@ void Proxy::edgeOnMqttAccept(TcpSocket sock) {
         return;  // CONNECT not fully buffered yet
       }
       tun->userId = pkt->clientId;
-      if (config_.mqttPassThrough) {
-        // Reduced-copy mode: skip the trunk's frame machinery and dial
-        // the origin's tunnel port directly, so both legs are plain TCP
-        // and the whole path can ride splice(2).
-        TrunkLink* link = edgePickTrunk(*shards_.front());
-        if (link == nullptr) {
-          bump("edge.err.no_origin");
-          edgeDropMqttTunnel(
-              tun, std::make_error_code(std::errc::network_unreachable));
-          return;
-        }
-        edgeOpenDirectTunnel(tun, /*resume=*/false, link->origin);
-      } else {
-        edgeOpenMqttTunnel(tun, /*resume=*/false);
-      }
+      edgeOpenMqttTunnel(tun, /*resume=*/false);
     }
     if (tun->tunnelUp && tun->link != nullptr && tun->link->session &&
         !tun->pendingToOrigin.empty()) {
@@ -981,16 +955,6 @@ void Proxy::edgeOnMqttAccept(TcpSocket sock) {
       }
       tun->resumeLink->mqttStreams.erase(tun->resumeStreamId);
       tun->resumeLink = nullptr;
-    }
-    if (tun->directConn) {
-      auto dc = std::move(tun->directConn);
-      tun->directConn = nullptr;
-      dc->close({});
-    }
-    if (tun->resumeDirectConn) {
-      auto dc = std::move(tun->resumeDirectConn);
-      tun->resumeDirectConn = nullptr;
-      dc->close({});
     }
     mqttTunnels_.erase(tun);
   });
@@ -1055,38 +1019,6 @@ void Proxy::edgeResumeMqttTunnels(TrunkLink* fromLink, uint64_t solTraceId,
   // empty and the solicitation is a no-op.
   Shard& sh = *fromLink->shard;
 
-  // Pass-through tunnels do not ride trunk streams; match them by the
-  // origin the solicitation arrived from and re-dial a healthy peer.
-  if (config_.mqttPassThrough && &sh == shards_.front().get()) {
-    std::vector<std::shared_ptr<MqttTunnel>> direct;
-    for (const auto& tun : mqttTunnels_) {
-      if (tun->directConn && tun->originName == fromLink->origin.name &&
-          !tun->resuming) {
-        direct.push_back(tun);
-      }
-    }
-    for (const auto& tun : direct) {
-      TrunkLink* other = nullptr;
-      for (size_t i = 0; i < sh.trunkLinks.size(); ++i) {
-        TrunkLink* cand =
-            sh.trunkLinks[(sh.trunkRoundRobin + i) % sh.trunkLinks.size()]
-                .get();
-        if (cand->origin.name != fromLink->origin.name && cand->up &&
-            !cand->peerDraining) {
-          other = cand;
-          sh.trunkRoundRobin =
-              (sh.trunkRoundRobin + i + 1) % sh.trunkLinks.size();
-          break;
-        }
-      }
-      if (other == nullptr) {
-        bump("edge.dcr_no_alternative");
-        continue;
-      }
-      edgeOpenDirectTunnel(tun, /*resume=*/true, other->origin, solTraceId,
-                           solSpanId);
-    }
-  }
   std::vector<std::shared_ptr<MqttTunnel>> affected;
   for (auto& [sid, weakTun] : fromLink->mqttStreams) {
     if (auto tun = weakTun.lock(); tun && !tun->resuming) {
@@ -1136,170 +1068,6 @@ void Proxy::edgeResumeMqttTunnels(TrunkLink* fromLink, uint64_t solTraceId,
   }
 }
 
-void Proxy::edgeOpenDirectTunnel(const std::shared_ptr<MqttTunnel>& tun,
-                                 bool resume, const BackendRef& origin,
-                                 uint64_t solTraceId, uint64_t solSpanId) {
-  if (resume) {
-    tun->resuming = true;
-    tun->resumeTraceId = 0;
-    if (trace::tracingEnabled()) {
-      tun->resumeTraceId = solTraceId != 0 ? solTraceId : trace::newId();
-      tun->resumeParentId = solSpanId;
-      tun->resumeSpanId = trace::newId();
-      tun->resumeStartNs = trace::nowNs();
-    }
-    bump("edge.dcr_reconnect_sent");
-  }
-  std::string originName = origin.name;
-  Connector::connect(
-      loop_, origin.addr,
-      [this, tun, resume, originName](TcpSocket sock, std::error_code ec) {
-        if (terminated_ || !tun->userConn->open()) {
-          return;
-        }
-        if (ec) {
-          if (resume) {
-            // The old relay path is normally still intact; stay on it.
-            // If the broker already kicked it (client takeover), the
-            // tunnel has no leg left and must drop.
-            tun->resuming = false;
-            bump("edge.dcr_refused");
-            if (tun->directConn == nullptr) {
-              edgeDropMqttTunnel(tun, ec);
-            }
-          } else {
-            bump("edge.err.no_origin");
-            edgeDropMqttTunnel(tun, ec);
-          }
-          return;
-        }
-        fault::tagFd(sock.fd(), "edge.tunnel");
-        auto dc = Connection::make(loop_, std::move(sock));
-        std::weak_ptr<Connection> wdc = dc;
-
-        if (!resume) {
-          tun->directConn = dc;
-          tun->originName = originName;
-          dc->setCloseCallback([this, tun, wdc](std::error_code why) {
-            if (tun->directConn != nullptr && tun->directConn == wdc.lock()) {
-              tun->directConn = nullptr;
-              if (tun->resuming) {
-                // Expected mid-resume: the broker kicks the old session
-                // the moment the resume leg's CONNECT lands (MQTT client
-                // takeover). The verdict completes the swap; dropping
-                // here would sever the user for no reason.
-                bump("edge.dcr_old_leg_closed");
-                return;
-              }
-              edgeDropMqttTunnel(tun, why);
-            }
-          });
-          dc->start();
-          dc->send("ZDRTUN " + tun->userId + " 0\n");
-          // Bytes the user sent before the leg was up — the CONNECT
-          // packet at minimum — lead the relay. The broker's CONNACK
-          // flows back through it untouched.
-          if (!tun->pendingToOrigin.empty()) {
-            dc->send(tun->pendingToOrigin.readable());
-            tun->pendingToOrigin.clear();
-          }
-          tun->tunnelUp = true;
-          bump("edge.mqtt_passthrough_opened");
-          tun->userConn->startRelayTo(dc);
-          dc->startRelayTo(tun->userConn);
-          return;
-        }
-
-        // DCR resume (§4.2): keep the old path live until the new origin
-        // answers the preface with a verdict (make-before-break).
-        tun->resumeDirectConn = dc;
-        tun->resumeVerdictBuf.clear();
-        dc->setCloseCallback([this, tun, wdc](std::error_code why) {
-          if (tun->resumeDirectConn != nullptr &&
-              tun->resumeDirectConn == wdc.lock()) {
-            tun->resumeDirectConn = nullptr;
-            tun->resuming = false;  // old path survives (usually)
-            bump("edge.dcr_refused");
-            if (tun->directConn == nullptr) {
-              edgeDropMqttTunnel(tun, why);
-            }
-          }
-        });
-        dc->setDataCallback([this, tun, wdc, originName](Buffer& in) {
-          auto dc = wdc.lock();
-          if (!dc || tun->resumeDirectConn != dc) {
-            return;
-          }
-          tun->resumeVerdictBuf.append(in.readable());
-          in.clear();
-          auto view = tun->resumeVerdictBuf.view();
-          auto eol = view.find('\n');
-          if (eol == std::string_view::npos) {
-            if (view.size() > 64) {  // verdicts are one short line
-              tun->resumeDirectConn = nullptr;
-              tun->resuming = false;
-              dc->close(std::make_error_code(std::errc::protocol_error));
-            }
-            return;
-          }
-          const bool ok = view.substr(0, eol + 1) == kTunnelOk;
-          if (tun->resumeTraceId != 0) {
-            recordSpan(shards_.front()->spans, tun->resumeTraceId,
-                       tun->resumeSpanId, tun->resumeParentId,
-                       trace::SpanKind::kEdgeDcrResume, traceInstance_,
-                       tun->resumeStartNs, trace::nowNs(), ok ? 200 : 410);
-          }
-          if (!ok) {
-            // connect_refuse: drop; the client reconnects normally.
-            bump("edge.dcr_refused");
-            tun->resumeDirectConn = nullptr;
-            tun->resuming = false;
-            dc->close({});
-            edgeDropMqttTunnel(
-                tun, std::make_error_code(std::errc::connection_reset));
-            return;
-          }
-          // connect_ack: swap relays atomically on this loop. The
-          // user-side pipe may hold in-flight bytes; startRelayTo
-          // routes that residue to the NEW sink, which is exactly the
-          // make-before-break contract.
-          tun->resumeVerdictBuf.consume(eol + 1);
-          auto old = tun->directConn;
-          tun->resumeDirectConn = nullptr;
-          tun->resuming = false;
-          tun->directConn = dc;
-          tun->originName = originName;
-          tun->tunnelUp = true;
-          // The conn graduates from resume candidate to live leg: swap
-          // in the live-leg close handling (the resume closeCb above
-          // keys off resumeDirectConn, which no longer points here).
-          dc->setCloseCallback([this, tun, wdc](std::error_code why) {
-            if (tun->directConn != nullptr && tun->directConn == wdc.lock()) {
-              tun->directConn = nullptr;
-              if (tun->resuming) {
-                bump("edge.dcr_old_leg_closed");
-                return;
-              }
-              edgeDropMqttTunnel(tun, why);
-            }
-          });
-          bump("edge.dcr_resumed");
-          if (!tun->resumeVerdictBuf.empty()) {
-            // Broker traffic that chased the verdict down the new leg.
-            tun->userConn->send(tun->resumeVerdictBuf.readable());
-            tun->resumeVerdictBuf.clear();
-          }
-          tun->userConn->startRelayTo(dc);
-          dc->startRelayTo(tun->userConn);
-          if (old && old->open()) {
-            old->close({});
-          }
-        });
-        dc->start();
-        dc->send("ZDRTUN " + tun->userId + " 1\n");
-      });
-}
-
 void Proxy::edgeDropMqttTunnel(const std::shared_ptr<MqttTunnel>& tun,
                                std::error_code why) {
   // An errored drop severs a live subscriber: attribute it. Protocol
@@ -1309,8 +1077,7 @@ void Proxy::edgeDropMqttTunnel(const std::shared_ptr<MqttTunnel>& tun,
       !tun->disruptionNoted) {
     tun->disruptionNoted = true;
     const bool sabotaged =
-        (tun->userConn && tun->userConn->faultInjections() > 0) ||
-        (tun->directConn && tun->directConn->faultInjections() > 0);
+        tun->userConn && tun->userConn->faultInjections() > 0;
     noteDisruption(nullptr,
                    sabotaged ? fr::DisruptionCause::kFaultInjected
                              : fr::DisruptionCause::kTrunkAbort,
@@ -1329,16 +1096,6 @@ void Proxy::edgeDropMqttTunnel(const std::shared_ptr<MqttTunnel>& tun,
       tun->resumeLink->session->sendReset(tun->resumeStreamId);
     }
     tun->resumeLink = nullptr;
-  }
-  if (tun->directConn) {
-    auto dc = std::move(tun->directConn);
-    tun->directConn = nullptr;
-    dc->close({});
-  }
-  if (tun->resumeDirectConn) {
-    auto dc = std::move(tun->resumeDirectConn);
-    tun->resumeDirectConn = nullptr;
-    dc->close({});
   }
   if (tun->userConn && tun->userConn->open()) {
     tun->userConn->close(why);

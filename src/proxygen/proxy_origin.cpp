@@ -3,8 +3,6 @@
 // Origin half of Downstream Connection Reuse.
 #include "proxygen/proxy_detail.h"
 
-#include <cstring>
-
 #include "appserver/app_server.h"
 #include "l4lb/hashing.h"
 
@@ -21,66 +19,6 @@ void Proxy::originOnTrunkAccept(Shard& sh, TcpSocket sock) {
   fr::recordEvent(sh.events, fr::EventKind::kAccept, traceInstance_, 0, 0,
                   kAcceptTag);
   auto conn = Connection::make(*sh.loop, std::move(sock));
-
-  // Sniff the first bytes before committing to a protocol: an edge in
-  // pass-through mode opens MQTT tunnels as raw TCP connections on
-  // this same port, announced by a "ZDRTUN <userId> <0|1>\n" preface.
-  // Everything else is an h2 trunk (whose binary frame header can
-  // never spell the preface — "ZDRT" read as a length exceeds
-  // kMaxFramePayload). The callback deliberately consumes nothing
-  // until it can rule the preface in or out, so the h2 path replays a
-  // byte-complete stream into the session via drainPending().
-  Shard* shp = &sh;
-  std::weak_ptr<Connection> weak = conn;
-  conn->setCloseCallback([shp, weak](std::error_code) {
-    if (auto c = weak.lock()) {
-      shp->sniffingTrunkConns.erase(c);
-    }
-  });
-  conn->setDataCallback([this, shp, weak](Buffer& in) {
-    auto conn = weak.lock();
-    if (!conn) {
-      return;
-    }
-    auto data = in.readable();
-    size_t cmp = std::min(data.size(), kTunnelPreface.size());
-    if (std::memcmp(data.data(), kTunnelPreface.data(), cmp) != 0) {
-      shp->sniffingTrunkConns.erase(conn);
-      originStartTrunkSession(*shp, conn);
-      return;
-    }
-    if (cmp < kTunnelPreface.size()) {
-      return;  // prefix matches so far; need more bytes
-    }
-    // Full preface line: "ZDRTUN <userId> <0|1>\n".
-    std::string_view view(reinterpret_cast<const char*>(data.data()),
-                          data.size());
-    size_t eol = view.find('\n');
-    if (eol == std::string_view::npos) {
-      if (view.size() > 512) {  // preposterous preface: not ours
-        conn->close(std::make_error_code(std::errc::protocol_error));
-      }
-      return;
-    }
-    std::string_view line = view.substr(kTunnelPreface.size(),
-                                        eol - kTunnelPreface.size());
-    size_t sp = line.rfind(' ');
-    if (sp == std::string_view::npos || sp == 0 ||
-        (line.substr(sp + 1) != "0" && line.substr(sp + 1) != "1")) {
-      conn->close(std::make_error_code(std::errc::protocol_error));
-      return;
-    }
-    std::string userId(line.substr(0, sp));
-    bool resume = line.substr(sp + 1) == "1";
-    in.consume(eol + 1);  // user bytes after the preface stay queued
-    shp->sniffingTrunkConns.erase(conn);
-    originOpenDirectTunnel(*shp, conn, userId, resume);
-  });
-  sh.sniffingTrunkConns.insert(conn);
-  conn->start();
-}
-
-void Proxy::originStartTrunkSession(Shard& sh, const ConnectionPtr& conn) {
   bumpHot(hot_.trunkAccepted);
   auto tc = std::make_shared<TrunkServerConn>();
   tc->shard = &sh;
@@ -156,10 +94,6 @@ void Proxy::originStartTrunkSession(Shard& sh, const ConnectionPtr& conn) {
     // A session raced our drain start: tell it immediately.
     tc->session->sendGoaway("draining");
   }
-  // Replay the bytes the preface sniff left queued (it consumed
-  // nothing on the h2 path, so the session sees the stream from byte
-  // zero).
-  conn->drainPending();
 }
 
 void Proxy::originOnStreamHeaders(const std::shared_ptr<TrunkServerConn>& tc,
@@ -816,139 +750,6 @@ void Proxy::originOpenBrokerTunnel(const std::shared_ptr<TrunkServerConn>& tc,
           }
         }
       });
-}
-
-// ----------------------------------------- pass-through tunnels (ZDRTUN)
-
-void Proxy::originOpenDirectTunnel(Shard& sh, const ConnectionPtr& conn,
-                                   const std::string& userId, bool resume) {
-  auto dt = std::make_shared<DirectTunnel>();
-  dt->shard = &sh;
-  dt->tunnelConn = conn;
-  dt->userId = userId;
-  dt->resume = resume;
-  sh.directTunnels.insert(dt);
-  directTunnelCount_.fetch_add(1, std::memory_order_acq_rel);
-  if (resume) {
-    bump(config_.name + ".dcr_reconnect_received");
-  } else {
-    bump(config_.name + ".mqtt_passthrough_opened");
-  }
-
-  // User bytes behind the preface pile up in conn's input buffer until
-  // the broker leg is up; startRelayTo forwards them in order.
-  conn->setDataCallback([](Buffer&) {});
-  conn->setCloseCallback([this, dt](std::error_code) {
-    originCloseDirectTunnel(dt);
-  });
-
-  const BackendRef* broker = originBrokerFor(userId);
-  if (broker == nullptr) {
-    bump(config_.name + ".err.no_broker");
-    conn->close(std::make_error_code(std::errc::network_unreachable));
-    return;
-  }
-  Connector::connect(
-      *sh.loop, broker->addr,
-      [this, dt](TcpSocket sock, std::error_code ec) {
-        if (dt->closed || !dt->tunnelConn->open()) {
-          return;
-        }
-        if (ec) {
-          // A resume that cannot reach the broker is a refuse: the
-          // edge keeps the old path until the draining origin dies.
-          if (dt->resume) {
-            bump(config_.name + ".dcr_connect_refuse");
-            dt->tunnelConn->send(kTunnelGone);
-            dt->tunnelConn->closeAfterFlush();
-          } else {
-            dt->tunnelConn->close(ec);
-          }
-          return;
-        }
-        fault::tagFd(sock.fd(), "origin.broker");
-        dt->brokerConn = Connection::make(*dt->shard->loop, std::move(sock));
-        dt->brokerConn->setCloseCallback([this, dt](std::error_code) {
-          originCloseDirectTunnel(dt);
-        });
-
-        if (!dt->resume) {
-          // Fresh tunnel: pure pass-through from byte zero. The user's
-          // own CONNECT (queued behind the preface) opens the broker
-          // session; its CONNACK flows back through the relay.
-          dt->up = true;
-          dt->brokerConn->start();
-          dt->tunnelConn->startRelayTo(dt->brokerConn);
-          dt->brokerConn->startRelayTo(dt->tunnelConn);
-          return;
-        }
-
-        // DCR re-attach: complete the broker handshake privately; the
-        // end user must never see it (§4.2). Only after connect_ack
-        // does the connection pair flip into relay mode.
-        dt->brokerConn->setDataCallback([this, dt](Buffer& in) {
-          if (dt->closed || dt->up) {
-            return;  // relay mode handles established traffic
-          }
-          dt->resumeParseBuf.append(in.readable());
-          in.clear();
-          bool malformed = false;
-          auto pkt = mqtt::decode(dt->resumeParseBuf, malformed);
-          if (malformed) {
-            bump(config_.name + ".dcr_connect_refuse");
-            dt->tunnelConn->send(kTunnelGone);
-            dt->tunnelConn->closeAfterFlush();
-            dt->brokerConn->close({});
-            return;
-          }
-          if (!pkt) {
-            return;
-          }
-          if (pkt->type == mqtt::PacketType::kConnack &&
-              pkt->returnCode == mqtt::kConnAccepted &&
-              pkt->sessionPresent) {
-            bump(config_.name + ".dcr_connect_ack");
-            dt->up = true;
-            dt->tunnelConn->send(kTunnelOk);
-            // Publishes that followed the CONNACK precede the relay.
-            if (!dt->resumeParseBuf.empty()) {
-              dt->tunnelConn->send(dt->resumeParseBuf.readable());
-              dt->resumeParseBuf.clear();
-            }
-            dt->tunnelConn->startRelayTo(dt->brokerConn);
-            dt->brokerConn->startRelayTo(dt->tunnelConn);
-          } else {
-            bump(config_.name + ".dcr_connect_refuse");
-            dt->tunnelConn->send(kTunnelGone);
-            dt->tunnelConn->closeAfterFlush();
-            dt->brokerConn->close({});
-          }
-        });
-        dt->brokerConn->start();
-        mqtt::Packet connect;
-        connect.type = mqtt::PacketType::kConnect;
-        connect.clientId = dt->userId;
-        connect.cleanSession = false;
-        Buffer out;
-        mqtt::encode(connect, out);
-        dt->brokerConn->send(out.readable());
-      });
-}
-
-void Proxy::originCloseDirectTunnel(const std::shared_ptr<DirectTunnel>& dt) {
-  if (dt->closed) {
-    return;
-  }
-  dt->closed = true;
-  if (dt->tunnelConn && dt->tunnelConn->open()) {
-    dt->tunnelConn->close(std::make_error_code(std::errc::connection_reset));
-  }
-  if (dt->brokerConn && dt->brokerConn->open()) {
-    dt->brokerConn->close({});
-  }
-  if (dt->shard->directTunnels.erase(dt) > 0) {
-    directTunnelCount_.fetch_sub(1, std::memory_order_acq_rel);
-  }
 }
 
 }  // namespace zdr::proxygen

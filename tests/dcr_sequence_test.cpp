@@ -95,5 +95,65 @@ TEST(DcrSequenceTest, RefusedResumeFallsBackToClientReconnect) {
   fleet.stop();
 }
 
+TEST(DcrSequenceTest, SolicitationGoesOnlyToTheTrunkCarryingTheTunnel) {
+  // Two edges, one MQTT session, on edge 0. Every origin holds a trunk
+  // from each edge, but only the one carrying the tunnel is solicited:
+  // each origin restart sends exactly one reconnect_solicitation and
+  // the session resumes on the peer origin.
+  TestbedOptions opts;
+  opts.edges = 2;
+  opts.origins = 2;
+  opts.appServers = 1;
+  opts.enableMqtt = true;
+  opts.dcrEnabled = true;
+  opts.proxyDrainPeriod = Duration{400};
+  Testbed bed(opts);
+  bed.waitForTrunks();
+
+  MqttFleet::Options fo;
+  fo.clients = 1;
+  fo.keepAliveInterval = Duration{50};
+  MqttFleet fleet(bed.mqttEntry(0), fo, bed.metrics(), "fleet");
+  fleet.start();
+  waitFor([&] { return fleet.connectedCount() == 1; });
+
+  MqttPublisher::Options po;
+  po.fleetSize = 1;
+  po.interval = Duration{5};
+  MqttPublisher publisher(bed.broker(0).addr(), po, bed.metrics(), "pub");
+  publisher.start();
+  waitFor([&] { return fleet.publishesReceived() >= 10; });
+
+  auto counter = [&](const std::string& name) {
+    return bed.metrics().counter(name).value();
+  };
+  auto solicitations = [&] {
+    return counter("origin0.dcr_solicitations_sent") +
+           counter("origin1.dcr_solicitations_sent");
+  };
+  // Restart the origin carrying the tunnel first, then its peer, which
+  // carries the tunnel by then.
+  const size_t first = counter("origin0.mqtt_tunnel_opened") == 1 ? 0 : 1;
+  ASSERT_EQ(counter("origin" + std::to_string(first) + ".mqtt_tunnel_opened"),
+            1u);
+  for (size_t i : {first, 1 - first}) {
+    bed.waitForTrunks();
+    const uint64_t sent0 = solicitations();
+    const uint64_t resumed0 = counter("edge.dcr_resumed");
+    bed.origin(i).beginRestart(release::Strategy::kZeroDowntime);
+    bed.origin(i).waitRestart();
+    EXPECT_EQ(solicitations() - sent0, 1u) << "restart of origin" << i;
+    EXPECT_EQ(counter("edge.dcr_resumed") - resumed0, 1u)
+        << "restart of origin" << i;
+    uint64_t mark = fleet.publishesReceived();
+    waitFor([&] { return fleet.publishesReceived() >= mark + 10; });
+  }
+  publisher.stop();
+
+  EXPECT_EQ(counter("fleet.drops"), 0u);
+  EXPECT_EQ(fleet.connectedCount(), 1u);
+  fleet.stop();
+}
+
 }  // namespace
 }  // namespace zdr::core

@@ -1,7 +1,14 @@
 // Direct tests of the async HTTP client: keep-alive reuse, timeout,
-// transport-failure reporting, paced-upload semantics.
-#include <atomic>
+// transport-failure reporting, paced-upload semantics, and retiring a
+// connection on a `Connection: close` response.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <optional>
+#include <string>
+#include <thread>
 
 #include "appserver/app_server.h"
 #include "http/client.h"
@@ -181,6 +188,117 @@ TEST_F(HttpClientTest, ServerResetMidRequestReported) {
   waitFor([&] { return done.load(); });
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(result.transportError || result.timedOut);
+}
+
+// Scripted peer for the Connection: close test: blocking reads and
+// writes over a nonblocking accepted socket, each bounded by `ms`.
+std::optional<TcpSocket> acceptWithin(TcpListener& listener, int ms) {
+  pollfd pfd{listener.fd(), POLLIN, 0};
+  if (::poll(&pfd, 1, ms) <= 0) {
+    return std::nullopt;
+  }
+  std::error_code ec;
+  return listener.accept(ec);
+}
+
+// Reads until `marker` has arrived (true) or `ms` passes (false).
+bool readUntil(TcpSocket& sock, std::string_view marker, int ms) {
+  std::string got;
+  char buf[4096];
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (got.find(marker) == std::string::npos) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 10) <= 0) {
+      continue;
+    }
+    ssize_t n = ::read(sock.fd(), buf, sizeof(buf));
+    if (n <= 0) {
+      return false;
+    }
+    got.append(buf, static_cast<size_t>(n));
+  }
+  return true;
+}
+
+void writeAll(TcpSocket& sock, std::string_view s) {
+  while (!s.empty()) {
+    ssize_t n = ::write(sock.fd(), s.data(), s.size());
+    if (n > 0) {
+      s.remove_prefix(static_cast<size_t>(n));
+    } else {
+      pollfd pfd{sock.fd(), POLLOUT, 0};
+      ::poll(&pfd, 1, 10);
+    }
+  }
+}
+
+TEST(HttpClientCloseTest, ConnectionCloseResponseRetiresTheConnection) {
+  // RFC 9112 §9.6: after a response carrying `Connection: close` the
+  // server closes; a request written behind it dies with the socket.
+  // The peer here closes 100 ms after answering, as a draining proxy
+  // does once its response flushes. The follow-up is a paced upload,
+  // which the client must not replay, so it succeeds only if the
+  // client dialed a fresh connection for it.
+  TcpListener listener(SocketAddr::loopback(0));
+  std::atomic<int> accepted{0};
+  std::thread peer([&] {
+    auto first = acceptWithin(listener, 3000);
+    if (!first) {
+      return;
+    }
+    ++accepted;
+    if (!readUntil(*first, "\r\n\r\n", 3000)) {
+      return;
+    }
+    writeAll(*first,
+             "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+             "Connection: close\r\n\r\nok");
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    first->close();
+
+    auto second = acceptWithin(listener, 3000);
+    if (!second) {
+      return;
+    }
+    ++accepted;
+    if (readUntil(*second, "0\r\n\r\n", 3000)) {
+      writeAll(*second, "HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\ndone");
+    }
+  });
+
+  EventLoopThread loop{"client"};
+  std::shared_ptr<Client> client;
+  std::atomic<bool> done{false};
+  Client::Result first;
+  Client::Result upload;
+  loop.runSync([&] {
+    client = Client::make(loop.loop(), listener.localAddr());
+    Request req;
+    req.path = "/first";
+    client->request(req, [&](Client::Result r) {
+      first = r;
+      // Queued behind the first response, as a back-to-back upload
+      // stream issues it: 6 chunks × 30 ms outlasts the peer's close.
+      client->pacedPost("/upload", 6, 256, Duration{30},
+                        [&](Client::Result r2) {
+                          upload = r2;
+                          done.store(true);
+                        });
+    });
+  });
+  waitFor([&] { return done.load(); });
+  loop.runSync([&] { client->close(); });
+  peer.join();
+
+  EXPECT_TRUE(first.ok);
+  EXPECT_EQ(first.response.body, "ok");
+  EXPECT_TRUE(upload.ok) << "upload went out on the closing connection";
+  EXPECT_EQ(upload.response.body, "done");
+  EXPECT_EQ(accepted.load(), 2);
 }
 
 }  // namespace

@@ -283,6 +283,140 @@ TEST(IntegrationTest, RollingZdrReleaseOfEdgeTierUnderLoad) {
   EXPECT_EQ(restarts, 4u);
 }
 
+// One client issuing requests back-to-back on its keep-alive
+// connection: each completion issues the next, the way a queued
+// upload stream does, so one request starts as the previous one ends.
+// pause() lets the in-flight request finish and leaves the connection
+// idle. All client state lives on `loop`.
+class BackToBackStream {
+ public:
+  BackToBackStream(EventLoopThread& loop, const SocketAddr& entry, bool upload)
+      : loop_(loop), upload_(upload) {
+    loop_.runSync(
+        [&] { client_ = http::Client::make(loop_.loop(), entry); });
+  }
+  ~BackToBackStream() {
+    pause();
+    waitIdle();
+    loop_.runSync([&] { client_->close(); });
+  }
+
+  void resume() {
+    loop_.runSync([&] {
+      running_ = true;
+      if (!client_->busy()) {
+        issue();
+      }
+    });
+  }
+  void pause() {
+    loop_.runSync([&] { running_ = false; });
+  }
+  void waitIdle() {
+    for (int i = 0; i < 5000; ++i) {
+      bool busy = true;
+      loop_.runSync([&] { busy = client_->busy(); });
+      if (!busy) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "stream never went idle";
+  }
+
+  std::atomic<uint64_t> ok{0};
+  std::atomic<uint64_t> failed{0};
+
+ private:
+  void issue() {
+    auto done = [this](http::Client::Result r) {
+      (r.ok ? ok : failed).fetch_add(1);
+      if (running_) {
+        issue();
+      }
+    };
+    if (upload_) {
+      // 8 chunks × 25 ms: ~200 ms per upload, well inside the drain.
+      client_->pacedPost("/upload/" + std::to_string(seq_++), 8, 1024,
+                         Duration{25}, done, Duration{5000});
+    } else {
+      http::Request req;
+      req.path = "/api/" + std::to_string(seq_++);
+      client_->request(req, done, Duration{5000});
+    }
+  }
+
+  EventLoopThread& loop_;
+  bool upload_;
+  bool running_ = false;
+  uint64_t seq_ = 0;
+  std::shared_ptr<http::Client> client_;
+};
+
+TEST(IntegrationTest, UploadsStraddlingEdgeZdrRestartAllComplete) {
+  // Paced uploads through the L4 VIP while the edge serving them
+  // ZDR-restarts. One upload stream is mid-upload when the drain
+  // starts: its response carries Connection: close, and the upload
+  // queued behind it must go out on a fresh connection (to the updated
+  // instance), not on the one the old instance is closing. A second
+  // upload stream and a GET stream sit idle on keep-alive connections
+  // across the drain start: the draining edge must close those at
+  // once, so their next requests also land on the updated instance
+  // instead of starting on the old one. The old instance then has no
+  // connection left and its drain exits early.
+  TestbedOptions opts;
+  opts.edges = 1;
+  opts.origins = 1;
+  opts.appServers = 2;
+  opts.enableMqtt = false;
+  opts.enableL4 = true;
+  Testbed bed(opts);
+  bed.waitForTrunks();
+
+  EventLoopThread clientLoop("client");
+  BackToBackStream busyUploads(clientLoop, bed.httpEntry(), true);
+  BackToBackStream idleUploads(clientLoop, bed.httpEntry(), true);
+  BackToBackStream gets(clientLoop, bed.httpEntry(), false);
+  busyUploads.resume();
+  idleUploads.resume();
+  gets.resume();
+  waitFor([&] { return idleUploads.ok.load() >= 2 && gets.ok.load() >= 20; });
+
+  idleUploads.pause();
+  gets.pause();
+  idleUploads.waitIdle();
+  gets.waitIdle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  auto& drainStarted = bed.metrics().counter("edge0.zdr_drain_started");
+  bed.edge(0).beginRestart(release::Strategy::kZeroDowntime);
+  waitFor([&] { return drainStarted.value() >= 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  idleUploads.resume();
+  gets.resume();
+  bed.edge(0).waitRestart();
+
+  const uint64_t uploadsAtRestart = busyUploads.ok.load() + idleUploads.ok.load();
+  waitFor([&] {
+    return busyUploads.ok.load() + idleUploads.ok.load() >=
+           uploadsAtRestart + 4;
+  });
+  busyUploads.pause();
+  idleUploads.pause();
+  gets.pause();
+  busyUploads.waitIdle();
+  idleUploads.waitIdle();
+  gets.waitIdle();
+
+  EXPECT_EQ(busyUploads.failed.load(), 0u);
+  EXPECT_EQ(idleUploads.failed.load(), 0u);
+  EXPECT_EQ(gets.failed.load(), 0u);
+  EXPECT_GE(bed.metrics().counter("edge0.drain_idle_closed").value(), 2u);
+  EXPECT_EQ(bed.metrics().counter("edge0.drain_early_exit").value(), 1u);
+  EXPECT_EQ(bed.metrics().counter("edge0.drain_deadline_exceeded").value(),
+            0u);
+}
+
 TEST(IntegrationTest, RollingHardReleaseCompletesButDisrupts) {
   TestbedOptions opts;
   opts.edges = 3;

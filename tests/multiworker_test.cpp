@@ -6,6 +6,7 @@
 #include <atomic>
 #include <gtest/gtest.h>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +48,46 @@ TEST(ListenerRingTest, BindTcpRingSharesOneKernelPort) {
       EXPECT_NE(ring[i].fd(), ring[j].fd());
     }
   }
+}
+
+TEST(ListenerRingTest, PortZeroUdpRingsNeverShareAPort) {
+  // A port-0 ring must own its port: were two rings in one process
+  // handed the same one, two servers would silently split one VIP.
+  constexpr size_t kRings = 48;
+  std::vector<std::vector<UdpSocket>> rings;
+  std::set<uint16_t> ports;
+  for (size_t i = 0; i < kRings; ++i) {
+    rings.push_back(bindUdpRing(SocketAddr::loopback(0), 2));
+    uint16_t port = rings.back().front().localAddr().port();
+    EXPECT_NE(port, 0);
+    EXPECT_EQ(rings.back().back().localAddr().port(), port);
+    ports.insert(port);
+  }
+  EXPECT_EQ(ports.size(), kRings);
+
+  // The ring's first socket still joins the reuseport group: datagrams
+  // from many flows all land somewhere in the ring.
+  constexpr size_t kFlows = 16;
+  const SocketAddr vip = rings.front().front().localAddr();
+  const std::byte payload[4]{};
+  for (size_t i = 0; i < kFlows; ++i) {
+    UdpSocket sender(SocketAddr::loopback(0));
+    std::error_code ec;
+    sender.sendTo(payload, vip, ec);
+    EXPECT_FALSE(ec);
+  }
+  size_t received = 0;
+  ASSERT_TRUE(waitFor([&] {
+    for (auto& sock : rings.front()) {
+      std::byte buf[16];
+      SocketAddr from;
+      std::error_code ec;
+      while (sock.recvFrom(buf, from, ec) > 0) {
+        ++received;
+      }
+    }
+    return received == kFlows;
+  }));
 }
 
 // Harness: a ListenerGroup over `workers` loops and `ringSize` fds that
