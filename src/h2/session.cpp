@@ -30,8 +30,25 @@ uint32_t Session::openStream() {
   return id;
 }
 
-Session::StreamState& Session::streamFor(uint32_t streamId) {
-  return streams_[streamId];  // creates on first reference
+Session::StreamState* Session::liveStream(uint32_t streamId) {
+  auto it = streams_.find(streamId);
+  return it == streams_.end() ? nullptr : &it->second;
+}
+
+Session::StreamState* Session::streamForFrame(uint32_t streamId) {
+  if (auto* st = liveStream(streamId)) {
+    return st;
+  }
+  // Only a peer-initiated id above every one seen so far opens a
+  // stream. Anything else names a closed stream: after a reset its
+  // in-flight frames are ignored (RFC 9113 §5.1), and must not bring
+  // the stream back to life and hold a draining session open.
+  const bool peerInitiated = (streamId % 2 == 1) == (role_ == Role::kServer);
+  if (!peerInitiated || streamId <= lastPeerStreamId_) {
+    return nullptr;
+  }
+  lastPeerStreamId_ = streamId;
+  return &streams_[streamId];
 }
 
 void Session::writeFrame(const Frame& f) {
@@ -50,12 +67,8 @@ void Session::sendHeaders(uint32_t streamId, const HeaderList& headers,
   f.flags = endStream ? kFlagEndStream : 0;
   f.streamId = streamId;
   f.payload = encodeHeaderBlock(headers);
-  auto& st = streamFor(streamId);
   writeFrame(f);
-  if (endStream) {
-    st.localEnded = true;
-    endStreamIfDone(streamId, st);
-  }
+  endLocal(streamId, endStream);
 }
 
 void Session::sendData(uint32_t streamId, std::string_view data,
@@ -65,11 +78,15 @@ void Session::sendData(uint32_t streamId, std::string_view data,
   f.flags = endStream ? kFlagEndStream : 0;
   f.streamId = streamId;
   f.payload.assign(data);
-  auto& st = streamFor(streamId);
   writeFrame(f);
-  if (endStream) {
-    st.localEnded = true;
-    endStreamIfDone(streamId, st);
+  endLocal(streamId, endStream);
+}
+
+void Session::endLocal(uint32_t streamId, bool endStream) {
+  StreamState* st = endStream ? liveStream(streamId) : nullptr;
+  if (st != nullptr) {
+    st->localEnded = true;
+    endStreamIfDone(streamId, *st);
   }
 }
 
@@ -95,7 +112,7 @@ void Session::sendGoaway(std::string debug) {
   goawaySent_ = true;
   Frame f;
   f.type = FrameType::kGoaway;
-  f.payload = encodeGoaway({nextStreamId_, std::move(debug)});
+  f.payload = encodeGoaway({lastPeerStreamId_, std::move(debug)});
   writeFrame(f);
 }
 
@@ -159,30 +176,36 @@ void Session::handleFrame(const Frame& f) {
         closeNow(std::make_error_code(std::errc::protocol_error));
         return;
       }
-      auto& st = streamFor(f.streamId);
+      StreamState* st = streamForFrame(f.streamId);
+      if (st == nullptr) {
+        break;
+      }
       if (f.endStream()) {
-        st.remoteEnded = true;
+        st->remoteEnded = true;
       }
       if (cbs_.onHeaders) {
         cbs_.onHeaders(f.streamId, *headers, f.endStream());
       }
-      // find(), not streamFor(): the callback may have completed and
-      // erased the stream — operator[] would resurrect it.
-      if (auto it = streams_.find(f.streamId); it != streams_.end()) {
-        endStreamIfDone(f.streamId, it->second);
+      // Looked up again: the callback may have completed and erased
+      // the stream.
+      if (StreamState* live = liveStream(f.streamId)) {
+        endStreamIfDone(f.streamId, *live);
       }
       break;
     }
     case FrameType::kData: {
-      auto& st = streamFor(f.streamId);
+      StreamState* st = streamForFrame(f.streamId);
+      if (st == nullptr) {
+        break;
+      }
       if (f.endStream()) {
-        st.remoteEnded = true;
+        st->remoteEnded = true;
       }
       if (cbs_.onData) {
         cbs_.onData(f.streamId, f.payload, f.endStream());
       }
-      if (auto it = streams_.find(f.streamId); it != streams_.end()) {
-        endStreamIfDone(f.streamId, it->second);  // see kHeaders note
+      if (StreamState* live = liveStream(f.streamId)) {
+        endStreamIfDone(f.streamId, *live);  // see kHeaders note
       }
       break;
     }

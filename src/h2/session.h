@@ -64,7 +64,9 @@ class Session : public std::enable_shared_from_this<Session> {
   void sendData(uint32_t streamId, std::string_view data, bool endStream);
   void sendReset(uint32_t streamId);
   void sendPing();
-  // Announces drain: peer must not open new streams.
+  // Announces drain: peer must not open new streams. Carries the
+  // highest peer-initiated stream id this session has processed
+  // (RFC 9113 §6.8).
   void sendGoaway(std::string debug = {});
   // Extension/control frame on stream 0.
   void sendControl(FrameType type, std::string payload = {},
@@ -97,15 +99,22 @@ class Session : public std::enable_shared_from_this<Session> {
   void handleInput(Buffer& in);
   void handleFrame(const Frame& f);
   void endStreamIfDone(uint32_t streamId, StreamState& st);
+  // Marks our half of a live stream ended when `endStream` is set.
+  void endLocal(uint32_t streamId, bool endStream);
   void maybeFinishDrain();
   void writeFrame(const Frame& f);
-  StreamState& streamFor(uint32_t streamId);
+  // The stream's state, or null once it has closed.
+  StreamState* liveStream(uint32_t streamId);
+  // The state an incoming HEADERS/DATA frame applies to: opens a new
+  // peer-initiated stream, or null for a frame on a closed stream.
+  StreamState* streamForFrame(uint32_t streamId);
 
   ConnectionPtr conn_;
   Role role_;
   Callbacks cbs_;
   std::map<uint32_t, StreamState> streams_;
   uint32_t nextStreamId_;
+  uint32_t lastPeerStreamId_ = 0;
   bool goawayReceived_ = false;
   bool goawaySent_ = false;
   bool drainRequested_ = false;

@@ -4,6 +4,14 @@
 
 namespace zdr::l4lb {
 
+namespace {
+// The L4's own health-check flips; an origin's app-server checker
+// counts under its own name.
+Counter* hcTransitions(MetricsRegistry* metrics) {
+  return metrics != nullptr ? &metrics->counter("l4.hc_transitions") : nullptr;
+}
+}  // namespace
+
 // One spliced client↔backend flow. Its backend connection is the pin:
 // nothing re-routes the flow once it is accepted.
 struct L4Balancer::Flow : std::enable_shared_from_this<L4Balancer::Flow> {
@@ -22,7 +30,7 @@ L4Balancer::L4Balancer(EventLoop& loop, const SocketAddr& vip,
       backends_(std::move(backends)) {
   health_ = std::make_unique<HealthChecker>(
       loop_, backends_, opts_.health, [this] { rebuildHealthySet(); },
-      metrics_);
+      hcTransitions(metrics_));
   acceptor_ = std::make_unique<Acceptor>(
       loop_, TcpListener(vip),
       [this](TcpSocket sock) { onAccept(std::move(sock)); });
@@ -59,7 +67,7 @@ void L4Balancer::setBackends(std::vector<BackendTarget> backends) {
   backends_ = std::move(backends);
   health_ = std::make_unique<HealthChecker>(
       loop_, backends_, opts_.health, [this] { rebuildHealthySet(); },
-      metrics_);
+      hcTransitions(metrics_));
   rebuildHealthySet();
 }
 

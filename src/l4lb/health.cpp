@@ -6,11 +6,11 @@ namespace zdr::l4lb {
 
 HealthChecker::HealthChecker(EventLoop& loop,
                              std::vector<BackendTarget> targets, Options opts,
-                             ChangeCallback onChange, MetricsRegistry* metrics)
+                             ChangeCallback onChange, Counter* transitions)
     : loop_(loop),
       opts_(opts),
       onChange_(std::move(onChange)),
-      metrics_(metrics),
+      transitions_(transitions),
       alive_(std::make_shared<bool>(true)) {
   states_.reserve(targets.size());
   for (auto& t : targets) {
@@ -195,8 +195,8 @@ void HealthChecker::onProbeResult(size_t idx, bool pass) {
     transitioned = was != s.healthy;
   }
   if (transitioned) {
-    if (metrics_) {
-      metrics_->counter("l4.hc_transitions").add();
+    if (transitions_ != nullptr) {
+      transitions_->add();
     }
     if (onChange_) {
       onChange_();

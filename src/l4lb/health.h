@@ -40,9 +40,12 @@ class HealthChecker {
   // `onChange` fires whenever the healthy set changes.
   using ChangeCallback = std::function<void()>;
 
+  // `transitions` counts up/down flips. The owner names it, so each
+  // tier's checks stay apart in /__stats: the L4 bumps
+  // "l4.hc_transitions", an origin "<origin>.app_hc_transitions".
   HealthChecker(EventLoop& loop, std::vector<BackendTarget> targets,
                 Options opts, ChangeCallback onChange,
-                MetricsRegistry* metrics = nullptr);
+                Counter* transitions = nullptr);
   ~HealthChecker();
   HealthChecker(const HealthChecker&) = delete;
   HealthChecker& operator=(const HealthChecker&) = delete;
@@ -71,7 +74,7 @@ class HealthChecker {
   EventLoop& loop_;
   Options opts_;
   ChangeCallback onChange_;
-  MetricsRegistry* metrics_;
+  Counter* transitions_;
   // Probes run on loop_'s thread, but the healthy-set accessors are
   // called from proxy worker threads; states_ is guarded throughout.
   mutable std::mutex mutex_;

@@ -310,7 +310,14 @@ class Proxy {
   void edgeFailUserRequest(const std::shared_ptr<UserHttpConn>& uc,
                            int status, const std::string& why);
   TrunkLink* edgePickTrunk(Shard& sh);
+  // Some slot is dialing, or waiting out its re-dial backoff.
+  [[nodiscard]] static bool edgeTrunkPending(Shard& sh);
   void edgeEnsureTrunk(Shard& sh, size_t idx);
+  // Dials slot `idx` again after the reconnect backoff.
+  void edgeRedialLater(Shard& sh, size_t idx);
+  // The origin sent GOAWAY (RFC 9113 §6.8): retire the link, dial a
+  // fresh one into its slot, and close the old one once idle.
+  void edgeOnTrunkGoaway(TrunkLink* link);
   void edgeOnTrunkControl(TrunkLink* link, const h2::Frame& frame);
   void edgeOnTrunkClosed(TrunkLink* link);
   void edgeOnMqttAccept(TcpSocket sock);

@@ -203,7 +203,9 @@ void Proxy::initCommon() {
       }
       appHealth_ = std::make_unique<l4lb::HealthChecker>(
           loop_, std::move(targets), config_.appServerHealth, nullptr,
-          metrics_);
+          metrics_ != nullptr
+              ? &metrics_->counter(config_.name + ".app_hc_transitions")
+              : nullptr);
     }
     brokerHash_ = std::make_unique<l4lb::MaglevHash>();
     std::vector<std::string> brokerNames;
@@ -660,16 +662,23 @@ void Proxy::terminate() {
     }
     sh.userConns.clear();
 
-    for (auto& link : sh.trunkLinks) {
-      if (link->reconnectTimer != 0) {
-        sh.loop->cancelTimer(link->reconnectTimer);
-        link->reconnectTimer = 0;
-      }
-      if (link->session) {
-        link->session->closeNow();
+    for (auto* links : {&sh.trunkLinks, &sh.retiredLinks}) {
+      for (auto& link : *links) {
+        if (link->reconnectTimer != 0) {
+          sh.loop->cancelTimer(link->reconnectTimer);
+          link->reconnectTimer = 0;
+        }
+        if (link->session) {
+          link->session->closeNow();
+        }
       }
     }
+    if (sh.retireSweepTimer != 0) {
+      sh.loop->cancelTimer(sh.retireSweepTimer);
+      sh.retireSweepTimer = 0;
+    }
     sh.trunkLinks.clear();
+    sh.retiredLinks.clear();
 
     for (const auto& tc : std::set<std::shared_ptr<TrunkServerConn>>(
              sh.trunkServerSessions)) {

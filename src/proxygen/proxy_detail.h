@@ -18,8 +18,15 @@ struct Proxy::Shard {
 
   // Edge state.
   std::set<std::shared_ptr<UserHttpConn>> userConns;
+  // One slot per configured origin (index = TrunkLink::idx).
   std::vector<std::unique_ptr<TrunkLink>> trunkLinks;
   size_t trunkRoundRobin = 0;
+  // Links whose origin sent GOAWAY, moved out of their slot whole so
+  // the raw pointers held by requests, tunnels and the link's own
+  // session callbacks stay valid. Each finishes its streams and closes;
+  // retireSweepTimer then frees the closed ones.
+  std::vector<std::unique_ptr<TrunkLink>> retiredLinks;
+  EventLoop::TimerId retireSweepTimer = 0;
 
   // Origin state.
   std::set<std::shared_ptr<TrunkServerConn>> trunkServerSessions;
@@ -169,7 +176,10 @@ struct Proxy::TrunkLink {
   h2::SessionPtr session;
   bool connecting = false;
   bool up = false;
-  bool peerDraining = false;  // origin sent GOAWAY
+  // When this link took the slot of a retired one (epoch for a link
+  // dialed at startup). A GOAWAY soon after means the dial landed on a
+  // draining origin again: a hard drain keeps its listener open.
+  TimePoint replacedAt{};
   // Pending edgeEnsureTrunk retry; the proxy can be torn down (ZDR
   // restart) while the 200 ms backoff is in flight on a worker loop
   // that outlives it, so terminate() must be able to cancel it.

@@ -322,15 +322,12 @@ void Proxy::edgeDispatchUpstream(const std::shared_ptr<UserHttpConn>& uc) {
   if (link == nullptr) {
     // A trunk may simply not be up *yet*: after a socket takeover the
     // adopted ring delivers live user connections before this
-    // instance's freshly dialed trunks finish their handshakes. While
-    // any link is still connecting, wait it out briefly instead of
-    // 502ing a request the previous instance would have served.
-    bool pending = false;
-    for (const auto& l : uc->shard->trunkLinks) {
-      pending |= l->connecting;
-    }
+    // instance's freshly dialed trunks finish their handshakes, and a
+    // severed trunk re-dials after a backoff. While any slot is about
+    // to come up, wait it out briefly instead of 502ing a request the
+    // previous instance would have served.
     constexpr int kTrunkWaitMaxRetries = 50;  // × 20 ms = 1 s grace
-    if (pending && !terminated_ &&
+    if (edgeTrunkPending(*uc->shard) && !terminated_ &&
         uc->trunkWaitRetries < kTrunkWaitMaxRetries) {
       if (uc->trunkWaitStartNs == 0) {
         uc->trunkWaitStartNs = trace::nowNs();
@@ -460,8 +457,8 @@ bool Proxy::edgeTryRedispatch(const std::shared_ptr<UserHttpConn>& uc) {
       !uc->parser.messageComplete() || !uc->conn->open() || terminated_) {
     return false;
   }
-  if (edgePickTrunk(*uc->shard) == nullptr) {
-    return false;  // nowhere better to go; fail like before
+  if (edgePickTrunk(*uc->shard) == nullptr && !edgeTrunkPending(*uc->shard)) {
+    return false;  // nowhere to go, now or soon
   }
   if (!trySpendRetryToken(*uc->shard)) {
     return false;
@@ -532,6 +529,12 @@ void Proxy::edgeFinishUserRequest(const std::shared_ptr<UserHttpConn>& uc) {
   uc->shard->loop->cancelTimer(uc->timeoutTimer);
   if (uc->link != nullptr) {
     uc->link->httpStreams.erase(uc->streamId);
+    if (!uc->upstreamEnded && uc->link->session) {
+      // The response overtook the request body, whose rest is never
+      // sent: end the trunk stream, or it stays half-open and keeps a
+      // retired trunk from closing.
+      uc->link->session->sendReset(uc->streamId);
+    }
   }
   if (uc->countedInFlight) {
     uc->countedInFlight = false;
@@ -576,25 +579,49 @@ void Proxy::edgeFinishUserRequest(const std::shared_ptr<UserHttpConn>& uc) {
 
 // ------------------------------------------------------------ trunk links
 
+namespace {
+// Backoff before re-dialing a trunk slot whose dial failed, whose link
+// died, or whose fresh link was GOAWAY'd again straight away.
+constexpr Duration kTrunkRedialDelay{200};
+}  // namespace
+
 Proxy::TrunkLink* Proxy::edgePickTrunk(Shard& sh) {
-  // Round-robin over healthy links; links whose origin announced
-  // GOAWAY take no new work (§4.1).
-  auto usable = [](const TrunkLink& l) { return l.up && !l.peerDraining; };
+  // Round-robin over live links. A link whose origin sent GOAWAY has
+  // already left its slot (edgeOnTrunkGoaway), so it takes no new work
+  // (§4.1).
   for (size_t i = 0; i < sh.trunkLinks.size(); ++i) {
     TrunkLink* link =
         sh.trunkLinks[(sh.trunkRoundRobin + i) % sh.trunkLinks.size()].get();
-    if (usable(*link)) {
+    if (link->up) {
       sh.trunkRoundRobin = (sh.trunkRoundRobin + i + 1) % sh.trunkLinks.size();
       return link;
     }
   }
-  // Degraded mode: accept a draining origin rather than failing.
-  for (auto& l : sh.trunkLinks) {
-    if (l->up) {
-      return l.get();
+  return nullptr;
+}
+
+bool Proxy::edgeTrunkPending(Shard& sh) {
+  for (const auto& l : sh.trunkLinks) {
+    if (l->connecting || l->reconnectTimer != 0) {
+      return true;
     }
   }
-  return nullptr;
+  return false;
+}
+
+void Proxy::edgeRedialLater(Shard& sh, size_t idx) {
+  TrunkLink* link = sh.trunkLinks[idx].get();
+  if (link->reconnectTimer != 0) {
+    return;
+  }
+  Shard* shp = &sh;
+  link->reconnectTimer = sh.loop->runAfter(
+      kTrunkRedialDelay,
+      [this, shp, idx] {
+        shp->trunkLinks[idx]->reconnectTimer = 0;
+        edgeEnsureTrunk(*shp, idx);
+      },
+      "timer.trunk_reconnect");
 }
 
 void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
@@ -616,22 +643,20 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
         link->connecting = false;
         if (ec) {
           bump("edge.trunk_connect_failed");
-          if (!draining_ && link->reconnectTimer == 0) {
-            link->reconnectTimer = shp->loop->runAfter(
-                Duration{200},
-                [this, shp, idx] {
-                  shp->trunkLinks[idx]->reconnectTimer = 0;
-                  edgeEnsureTrunk(*shp, idx);
-                },
-                "timer.trunk_reconnect");
+          if (!draining_) {
+            edgeRedialLater(*shp, idx);
           }
           return;
         }
         fault::tagFd(sock.fd(), "trunk.edge");
+        if (link->replacedAt != TimePoint{}) {
+          // Dialed to replace a GOAWAY'd link: lets a fault plan hit
+          // the fresh trunk while the retired one finishes its streams.
+          fault::tagFd(sock.fd(), "trunk.edge.redial");
+        }
         auto conn = Connection::make(*shp->loop, std::move(sock));
         link->session = h2::Session::make(conn, h2::Session::Role::kClient);
         link->up = true;
-        link->peerDraining = false;
 
         h2::Session::Callbacks cbs;
         cbs.onHeaders = [this, link](uint32_t sid,
@@ -703,13 +728,21 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
                 // connect_ack (§4.2): swap to the new relay path.
                 if (tun->link != nullptr) {
                   tun->link->mqttStreams.erase(tun->streamId);
-                  tun->link->session->sendReset(tun->streamId);
+                  if (tun->link->session) {
+                    tun->link->session->sendReset(tun->streamId);
+                  }
                 }
                 tun->link = link;
                 tun->streamId = sid;
                 tun->resuming = false;
                 tun->resumeLink = nullptr;
                 tun->tunnelUp = true;
+                if (!tun->pendingToOrigin.empty()) {
+                  // User bytes held back while the old path was gone.
+                  link->session->sendData(sid, tun->pendingToOrigin.view(),
+                                          false);
+                  tun->pendingToOrigin.clear();
+                }
                 bump("edge.dcr_resumed");
               } else {
                 // connect_refuse: drop; the client reconnects normally.
@@ -799,15 +832,31 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
               it != link->mqttStreams.end()) {
             auto tun = it->second.lock();
             link->mqttStreams.erase(it);
-            if (tun && !tun->resuming) {
-              edgeDropMqttTunnel(
-                  tun, std::make_error_code(std::errc::connection_reset));
+            if (!tun) {
+              return;
             }
+            if (tun->resuming) {
+              // One leg of a resume in flight died: the broker drops
+              // the old relay leg as the resume re-attaches. Forget
+              // that leg; the tunnel lives on while the other remains.
+              if (tun->link == link && tun->streamId == sid) {
+                tun->link = nullptr;
+                tun->tunnelUp = false;
+              }
+              if (tun->resumeLink == link && tun->resumeStreamId == sid) {
+                tun->resuming = false;
+                tun->resumeLink = nullptr;
+              }
+              if (tun->link != nullptr || tun->resumeLink != nullptr) {
+                return;
+              }
+            }
+            edgeDropMqttTunnel(
+                tun, std::make_error_code(std::errc::connection_reset));
           }
         };
         cbs.onGoaway = [this, link](const h2::GoawayInfo&) {
-          link->peerDraining = true;
-          bump("edge.trunk_goaway_received");
+          edgeOnTrunkGoaway(link);
         };
         cbs.onControl = [this, link](const h2::Frame& f) {
           edgeOnTrunkControl(link, f);
@@ -819,6 +868,36 @@ void Proxy::edgeEnsureTrunk(Shard& sh, size_t idx) {
         link->session->start();
         bump("edge.trunk_established");
       });
+}
+
+void Proxy::edgeOnTrunkGoaway(TrunkLink* link) {
+  bump("edge.trunk_goaway_received");
+  Shard& sh = *link->shard;
+  std::unique_ptr<TrunkLink>& slot = sh.trunkLinks[link->idx];
+  if (terminated_ || slot.get() != link) {
+    return;  // a repeated GOAWAY on a link already retired
+  }
+  // Streams already open finish here; new ones go to a fresh link in
+  // the same slot. The updated origin instance owns the listening
+  // socket by now, so the dial lands on it.
+  const TimePoint now = Clock::now();
+  const bool bounced = now - link->replacedAt < kTrunkRedialDelay;
+  auto fresh = std::make_unique<TrunkLink>();
+  fresh->shard = &sh;
+  fresh->origin = link->origin;
+  fresh->idx = link->idx;
+  fresh->replacedAt = now;
+  sh.retiredLinks.push_back(std::move(slot));
+  slot = std::move(fresh);
+  if (bounced) {
+    edgeRedialLater(sh, link->idx);
+  } else {
+    edgeEnsureTrunk(sh, link->idx);
+  }
+  // Closes the transport once the last stream on it has ended or been
+  // reset; the origin then sees its trunk count fall and can end its
+  // drain early.
+  link->session->drainAndClose("retired");
 }
 
 void Proxy::edgeOnTrunkControl(TrunkLink* link, const h2::Frame& frame) {
@@ -841,6 +920,30 @@ void Proxy::edgeOnTrunkClosed(TrunkLink* link) {
   link->connecting = false;
   link->session = nullptr;
   bump("edge.trunk_closed");
+  // No timer is armed once terminate() runs: it frees every link.
+  Shard& sh = *link->shard;
+  const bool retired = link->idx >= sh.trunkLinks.size() ||
+                       sh.trunkLinks[link->idx].get() != link;
+  if (!terminated_ && !retired && !draining_) {
+    // Armed before the streams below re-dispatch, so a GET aborted
+    // here waits for the re-dial instead of failing.
+    edgeRedialLater(sh, link->idx);
+  }
+  if (!terminated_ && retired && sh.retireSweepTimer == 0) {
+    // A retired link is never re-dialed: its slot already holds the
+    // fresh one. It is freed after this callback returns, never from
+    // inside its own session's callback.
+    Shard* shp = &sh;
+    sh.retireSweepTimer = sh.loop->runAfter(
+        Duration{0},
+        [shp] {
+          shp->retireSweepTimer = 0;
+          std::erase_if(shp->retiredLinks, [](const auto& l) {
+            return l->session == nullptr;
+          });
+        },
+        "timer.trunk_retire");
+  }
 
   // In-flight HTTP requests on this trunk abort.
   auto httpStreams = std::move(link->httpStreams);
@@ -882,18 +985,6 @@ void Proxy::edgeOnTrunkClosed(TrunkLink* link) {
     }
     edgeDropMqttTunnel(tun,
                        std::make_error_code(std::errc::connection_reset));
-  }
-
-  if (!draining_ && !terminated_ && link->reconnectTimer == 0) {
-    size_t idx = link->idx;
-    Shard* shp = link->shard;
-    link->reconnectTimer = shp->loop->runAfter(
-        Duration{200},
-        [this, shp, idx] {
-          shp->trunkLinks[idx]->reconnectTimer = 0;
-          edgeEnsureTrunk(*shp, idx);
-        },
-        "timer.trunk_reconnect");
   }
 }
 
@@ -1030,7 +1121,7 @@ void Proxy::edgeResumeMqttTunnels(TrunkLink* fromLink, uint64_t solTraceId,
     for (size_t i = 0; i < sh.trunkLinks.size(); ++i) {
       TrunkLink* cand =
           sh.trunkLinks[(sh.trunkRoundRobin + i) % sh.trunkLinks.size()].get();
-      if (cand != fromLink && cand->up && !cand->peerDraining) {
+      if (cand != fromLink && cand->up) {
         other = cand;
         sh.trunkRoundRobin = (sh.trunkRoundRobin + i + 1) % sh.trunkLinks.size();
         break;

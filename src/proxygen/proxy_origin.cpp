@@ -625,8 +625,11 @@ void Proxy::originOpenBrokerTunnel(const std::shared_ptr<TrunkServerConn>& tc,
     bt->resumeStartNs = trace::nowNs();
   }
   tc->brokerTunnels[streamId] = bt;
-  bump(config_.name + (resume ? ".dcr_reconnect_received"
-                              : ".mqtt_tunnel_opened"));
+  if (resume) {
+    bump(config_.name + ".dcr_reconnect_received");
+  } else {
+    bump(config_.name + ".mqtt_tunnel_opened");
+  }
 
   const BackendRef* broker = originBrokerFor(userId);
   if (broker == nullptr) {

@@ -220,6 +220,65 @@ TEST_F(SessionPairTest, GoawayStopsNewStreams) {
   });
 }
 
+TEST_F(SessionPairTest, GoawayCarriesLastPeerStreamId) {
+  // RFC 9113 §6.8: the last-stream-id is the highest stream the peer
+  // opened that the sender processed — not the sender's own next id.
+  std::atomic<int> streamsSeen{0};
+  std::atomic<uint32_t> lastStreamId{0};
+  std::atomic<bool> goawaySeen{false};
+  serverCbs_.onHeaders = [&](uint32_t, const HeaderList&, bool) {
+    streamsSeen.fetch_add(1);
+  };
+  clientCbs_.onGoaway = [&](const GoawayInfo& info) {
+    lastStreamId.store(info.lastStreamId);
+    goawaySeen.store(true);
+  };
+  loop_.runSync([&] {
+    server_->setCallbacks(serverCbs_);
+    client_->setCallbacks(clientCbs_);
+    for (uint32_t want : {1u, 3u, 5u}) {
+      uint32_t sid = client_->openStream();
+      EXPECT_EQ(sid, want);
+      client_->sendHeaders(sid, {{":method", "GET"}}, false);
+    }
+  });
+  waitFor([&] { return streamsSeen.load() == 3; });
+  loop_.runSync([&] { server_->sendGoaway("drain"); });
+  waitFor([&] { return goawaySeen.load(); });
+  EXPECT_EQ(lastStreamId.load(), 5u);
+}
+
+TEST_F(SessionPairTest, FramesOnResetStreamDoNotReopenIt) {
+  // The client resets stream 1 while the server's response is in
+  // flight. The late frames are ignored: the stream stays closed, so a
+  // drain waiting for the last stream can still finish.
+  std::atomic<bool> serverSawReset{false};
+  std::atomic<bool> clientClosed{false};
+  serverCbs_.onReset = [&](uint32_t) { serverSawReset.store(true); };
+  clientCbs_.onClose = [&](std::error_code) { clientClosed.store(true); };
+  loop_.runSync([&] {
+    server_->setCallbacks(serverCbs_);
+    client_->setCallbacks(clientCbs_);
+    uint32_t sid = client_->openStream();
+    client_->sendHeaders(sid, {{":method", "GET"}}, true);
+    client_->sendReset(sid);
+  });
+  waitFor([&] { return serverSawReset.load(); });
+  loop_.runSync([&] {
+    // Stream 1 no longer exists on the server either; a response
+    // written anyway must not revive it on the client.
+    server_->sendHeaders(1, {{":status", "200"}}, false);
+    server_->sendData(1, "late", false);
+    EXPECT_EQ(server_->activeStreams(), 0u);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  loop_.runSync([&] {
+    EXPECT_EQ(client_->activeStreams(), 0u);
+    client_->drainAndClose("done");
+  });
+  waitFor([&] { return clientClosed.load(); });
+}
+
 TEST_F(SessionPairTest, DrainClosesWhenStreamsFinish) {
   std::atomic<bool> serverClosed{false};
   serverCbs_.onHeaders = [&](uint32_t sid, const HeaderList&, bool) {

@@ -478,9 +478,10 @@ TEST(MultiWorkerE2E, ZdrRestartIntoMoreWorkersLeavesNewOnesIdle) {
 TEST(MultiWorkerE2E, OriginTrunkRingSurvivesZdrRestart) {
   // The origin side of the same story: its trunk listener ring moves
   // across a restart while edges keep multiplexing requests onto the
-  // surviving trunks. Two origins, as in the single-worker invisibility
-  // test: a draining origin GOAWAYs its trunks and the edge routes
-  // around it until the adopted ring answers.
+  // surviving trunks. A draining origin GOAWAYs its trunks; the edge
+  // re-dials into the adopted ring and retires each old trunk once
+  // idle, so one origin would do (chaos_trunk_retire_test). Two keep
+  // the edge's round-robin across origins in play as well.
   TestbedOptions opts;
   opts.edges = 1;
   opts.origins = 2;
